@@ -4,7 +4,8 @@ Subcommands: gen-model, sample, fit, learn, verify, nmin, error-curve.
 Exit codes: 0 success, 2 input error (bad arguments, malformed files,
 dimension mismatches), 3 capability error (e.g. exact enumeration
 above its size guard), 4 when a fit ran but was flagged as not
-converged (outputs are still written).
+converged (outputs are still written), 1 when verify ran but an oracle
+failed (the report is still written).
 """
 
 from __future__ import annotations

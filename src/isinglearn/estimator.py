@@ -88,6 +88,8 @@ def fit_all_nodes(samples: SampleSet, lam: float,
     nodes = range(samples.p)
     if threads == 1:
         return [fit_node(samples, u, lam, config) for u in nodes]
+    # Build the shared tally here, so the workers only read it.
+    samples.tally
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {u: pool.submit(fit_node, samples, u, lam, config) for u in nodes}
         return [futures[u].result() for u in nodes]

@@ -302,10 +302,15 @@ def model_from_json(text: str) -> IsingModel:
         raise InputError('model JSON must be an object with "p" and "edges"')
     if not isinstance(obj["edges"], list):
         raise InputError('"edges" must be a list')
+    # JSON true/false load as Python bools, which pass as the ints 1/0.
+    if isinstance(obj["p"], bool):
+        raise InputError(f'"p" must be an integer, got {obj["p"]!r}')
     couplings = {}
     for entry in obj["edges"]:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "theta"}:
             raise InputError(f"bad edge entry {entry!r}")
+        if any(isinstance(v, bool) for v in entry.values()):
+            raise InputError(f"edge entry {entry!r} has a boolean field")
         key = (entry["i"], entry["j"])
         if key in couplings:
             raise InputError(f"duplicate edge {key} in model JSON")

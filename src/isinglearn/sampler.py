@@ -14,8 +14,11 @@ meaning spin +1, LSB-first within each byte).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +43,46 @@ except ImportError:  # pragma: no cover - exercised only without numba
         return wrap if not (args and callable(args[0])) else args[0]
 
 
+class ConfigurationTally(NamedTuple):
+    """The distinct configurations of a sample set up to the global spin
+    flip, each taken with spin 0 at +1, and how often each occurs.
+
+    For p <= 64 the configurations are int64 codes, ascending, with bit
+    i-1 set iff spin i is +1 (spin 0 is implied), and configs is None.
+    Above that, configs holds them as distinct int8 rows and codes is
+    None. counts aligns with whichever is present.
+    """
+
+    codes: np.ndarray | None
+    configs: np.ndarray | None
+    counts: np.ndarray
+
+
+def tally_configurations(data: np.ndarray) -> ConfigurationTally:
+    """Count the distinct rows of an n x p -1/+1 matrix up to the global
+    flip, without materializing anything wider than one code per row
+    for p <= 64."""
+    p = data.shape[1]
+    if p <= 64:
+        codes = np.zeros(data.shape[0], dtype=np.int64)
+        for i in range(1, p):
+            codes |= (data[:, i] == data[:, 0]).astype(np.int64) << (i - 1)
+        if p - 1 <= 20:
+            full = np.bincount(codes, minlength=1 << (p - 1))
+            codes = np.flatnonzero(full)
+            counts = full[codes]
+        else:
+            codes, counts = np.unique(codes, return_counts=True)
+        return ConfigurationTally(codes, None, counts)
+    configs, counts = np.unique(data * data[:, :1], axis=0,
+                                return_counts=True)
+    return ConfigurationTally(None, configs, counts)
+
+
 @dataclass
 class SampleSet:
-    """n configurations of p spins, one row each, entries -1/+1 (int8)."""
+    """n configurations of p spins, one row each, entries -1/+1 (int8).
+    Treat instances as immutable: tally is computed once and kept."""
 
     p: int
     n: int
@@ -58,6 +98,12 @@ class SampleSet:
             raise InputError("need n >= 1 and p >= 1")
         if not np.all(np.abs(self.data) == 1):
             raise InputError("sample entries must be -1 or +1")
+
+    @cached_property
+    def tally(self) -> ConfigurationTally:
+        """Distinct configurations up to the global flip, with counts;
+        every node view of this sample set is read from it."""
+        return tally_configurations(self.data)
 
 
 @dataclass
@@ -181,14 +227,31 @@ def write_samples_text(samples: SampleSet, path):
 
 
 def read_samples_text(path) -> SampleSet:
+    try:
+        return _read_samples_text(path)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"sample text is not ASCII: {exc}") from exc
+
+
+def _read_samples_text(path) -> SampleSet:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
+        header_line = fh.readline()
+        header = header_line.split()
         if len(header) != 2:
             raise InputError("sample text header must be 'p n'")
         try:
             p, n = int(header[0]), int(header[1])
         except ValueError as exc:
             raise InputError("sample text header must be 'p n'") from exc
+        if p < 1 or n < 1:
+            raise InputError(f"sample text header needs p >= 1 and n >= 1, "
+                             f"got p={p}, n={n}")
+        # The shortest row is p one-character tokens ("1"), each followed
+        # by a separator or the newline, which the last row may omit.
+        body = os.fstat(fh.fileno()).st_size - len(header_line)
+        if body < 2 * p * n - 1:
+            raise InputError(f"sample text header declares {n} rows of {p} "
+                             f"spins, but only {body} bytes follow it")
         data = np.empty((n, p), dtype=np.int8)
         for k in range(n):
             tokens = fh.readline().split()
@@ -201,6 +264,8 @@ def read_samples_text(path) -> SampleSet:
             if any(abs(v) != 1 for v in row):
                 raise InputError(f"sample row {k} has entries other than -1/+1")
             data[k] = row
+        if any(line.strip() for line in fh):
+            raise InputError(f"sample text has rows after the {n} its header declares")
     return SampleSet(p, n, data)
 
 

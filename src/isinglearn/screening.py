@@ -11,7 +11,9 @@ a smooth convex function whose gradient components are
 2^(p-1) values, a NodeView collapses them to distinct rows with
 weights; the loss is an average, so this regrouping is exact and makes
 evaluation cost independent of n once n exceeds the number of distinct
-rows.
+rows. A product row fixes its configuration up to the global flip, so
+every vertex's distinct rows are read off the sample set's one
+configuration tally (SampleSet.tally) rather than deduplicated anew.
 
 Linear forms are clamped to +/-LINEAR_FORM_LIMIT before
 exponentiation (exp overflows near 710); evaluations report whether
@@ -35,55 +37,63 @@ LINEAR_FORM_LIMIT = 700.0
 class NodeView:
     """Per-vertex view of a sample set.
 
-    others holds the ascending vertices != u; products is the raw
-    n x (p-1) matrix of sigma_u * sigma_i rows when built from a
-    SampleSet (None when built directly from weighted counts); basis
-    and weights are the distinct rows and their empirical frequencies
-    (weights sum to 1); n is the underlying sample count.
+    others holds the ascending vertices != u; basis and weights are the
+    distinct product rows and their empirical frequencies (weights sum
+    to 1); n is the underlying sample count.
     """
 
     u: int
     others: np.ndarray
-    products: np.ndarray | None
     basis: np.ndarray
     weights: np.ndarray
     n: int
 
 
-def _compress_rows(products: np.ndarray):
-    """Collapse duplicate +/-1 rows; returns (distinct rows as float64,
-    counts)."""
-    n, k = products.shape
-    if k == 0:
-        return np.zeros((1, 0)), np.array([n], dtype=np.int64)
-    if k <= 63:
-        shifts = np.arange(k, dtype=np.uint64)
-        codes = (products > 0).astype(np.uint64) @ (np.uint64(1) << shifts)
-        if k <= 20:
-            counts_full = np.bincount(codes.astype(np.int64), minlength=1 << k)
-            nonzero = np.nonzero(counts_full)[0]
-            codes_u = nonzero.astype(np.uint64)
-            counts = counts_full[nonzero]
-        else:
-            codes_u, counts = np.unique(codes, return_counts=True)
-        bits = (codes_u[:, None] >> shifts[None, :]) & np.uint64(1)
-        rows = 2.0 * bits.astype(np.float64) - 1.0
-        return rows, counts.astype(np.int64)
-    rows, counts = np.unique(products, axis=0, return_counts=True)
-    return rows.astype(np.float64), counts.astype(np.int64)
+def _code_rows(codes: np.ndarray, u: int, p: int):
+    """Vertex u's product rows from tally codes (p <= 64), ordered by
+    product code; returns (order into the tally, rows as float64)."""
+    one = np.uint64(1)
+    # Bit i of full: spin i is +1 (spin 0 always is, in the tally). Bit i
+    # of agree: sigma_u * sigma_i = +1; dropping bit u leaves the product
+    # code over the others in ascending order.
+    full = (codes.astype(np.uint64) << one) | one
+    agree = np.where((full >> np.uint64(u)) & one, full, ~full)
+    k = p - 1
+    product = ((agree & np.uint64((1 << u) - 1))
+               | ((agree >> np.uint64(u + 1)) << np.uint64(u)))
+    product &= np.uint64((1 << k) - 1)
+    order = np.argsort(product)
+    shifts = np.arange(k, dtype=np.uint64)
+    bits = (product[order][:, None] >> shifts[None, :]) & one
+    return order, 2.0 * bits.astype(np.float64) - 1.0
+
+
+def _config_rows(configs: np.ndarray, u: int, others: np.ndarray):
+    """Vertex u's product rows from tally configurations (p > 64), in
+    lexicographic order (-1 before +1); returns (order, rows)."""
+    products = configs[:, others] * configs[:, [u]]
+    # Packed big-endian into 64-bit words, rows compare as their words do.
+    bits = np.zeros((len(products), -(-others.size // 64) * 64), dtype=bool)
+    bits[:, :others.size] = products > 0
+    words = np.packbits(bits).view(">u8").reshape(len(products), -1)
+    order = np.lexsort(words.T[::-1])
+    return order, products[order].astype(np.float64)
 
 
 def node_view(samples: SampleSet, u: int) -> NodeView:
-    """Build the focal-vertex view of a sample set."""
+    """Slice the focal-vertex view out of the sample set's tally."""
     if not 0 <= u < samples.p:
         raise InputError(f"vertex {u} out of range for p={samples.p}")
     if samples.p < 2:
         raise InputError("need p >= 2 for a nonempty view")
     others = np.delete(np.arange(samples.p), u)
-    products = samples.data[:, others] * samples.data[:, [u]]
-    rows, counts = _compress_rows(products)
-    weights = counts / float(samples.n)
-    return NodeView(u, others, products, rows, weights, samples.n)
+    tally = samples.tally
+    if tally.codes is not None:
+        order, rows = _code_rows(tally.codes, u, samples.p)
+    else:
+        order, rows = _config_rows(tally.configs, u, others)
+    weights = tally.counts[order] / float(samples.n)
+    return NodeView(u, others, rows, weights, samples.n)
 
 
 def node_view_from_counts(u: int, others, rows, counts) -> NodeView:
@@ -103,7 +113,7 @@ def node_view_from_counts(u: int, others, rows, counts) -> NodeView:
     keep = counts > 0
     rows, counts = rows[keep], counts[keep]
     n = int(counts.sum())
-    return NodeView(int(u), others, None, rows, counts / float(n), n)
+    return NodeView(int(u), others, rows, counts / float(n), n)
 
 
 class Evaluation(NamedTuple):

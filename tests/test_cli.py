@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import isinglearn
-from isinglearn import load_model
+from isinglearn import load_model, read_samples_text
 from isinglearn.cli import main
 
 
@@ -138,6 +138,50 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["gen-model", "--random", "4",
                  "--out", str(tmp_path / "m.json")]) == 2  # needs --seed
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [
+    "-3 2\n+1 -1\n+1 -1\n",  # p < 1
+    "2 0\n",  # n < 1
+    "3 100000000000\n+1 -1 +1\n",  # more rows than the file can hold
+    "2 1\n+1 -1\n+1 +1\n",  # a row past the declared n
+])
+def test_malformed_sample_text_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "samples.txt"
+    path.write_text(text)
+    assert main(["learn", "--samples", str(path), "--threshold", "0.5"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_non_ascii_sample_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_bytes(b"2 1\n+1 \xff1\n")
+    assert main(["learn", "--samples", str(path), "--threshold", "0.5"]) == 2
+    capsys.readouterr()
+
+
+def test_shortest_sample_text_rows_still_read(tmp_path):
+    # Bare "1" tokens and no final newline: the fewest bytes a valid
+    # file can have, which the header check must still accept.
+    path = tmp_path / "samples.txt"
+    path.write_text("2 2\n1 1\n1 -1\n\n")
+    assert read_samples_text(path).data.tolist() == [[1, 1], [1, -1]]
+    path.write_text("2 2\n1 1\n1 -1")
+    assert read_samples_text(path).data.tolist() == [[1, 1], [1, -1]]
+
+
+@pytest.mark.parametrize("text", [
+    '{"p": true, "edges": []}',  # would load as p=1
+    '{"p": 3, "edges": [{"i": true, "j": 2, "theta": 0.5}]}',  # as vertex 1
+    '{"p": 3, "edges": [{"i": 0, "j": true, "theta": 0.5}]}',
+    '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": true}]}',  # as 1.0
+])
+def test_boolean_model_fields_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["sample", "--model", str(path), "--n", "10", "--seed", "1",
+                 "--out", str(tmp_path / "x.txt")]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_enumeration_guard_exits_3(tmp_path, capsys):

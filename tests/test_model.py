@@ -168,6 +168,10 @@ def test_json_file_round_trip(tmp_path):
     '{"p": 3, "edges": [{"i": 0, "j": 1}]}',
     '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": 0.5}, {"i": 1, "j": 0, "theta": 0.2}]}',
     '{"p": 3, "edges": [{"i": 0, "j": 4, "theta": 0.5}]}',
+    '{"p": true, "edges": []}',
+    '{"p": 3, "edges": [{"i": true, "j": 2, "theta": 0.5}]}',
+    '{"p": 3, "edges": [{"i": 0, "j": true, "theta": 0.5}]}',
+    '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": true}]}',
 ])
 def test_json_rejects_malformed(text):
     with pytest.raises(InputError):

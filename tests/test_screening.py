@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from isinglearn import (InputError, IsingModel, SampleSet, empirical_covariance,
-                        evaluate, make_grid_model, node_view,
-                        node_view_from_counts, remainder_kernel,
-                        remainder_kernel_floor, sample_exact, screening_gradient,
-                        screening_value, taylor_remainder)
+                        evaluate, fit_all_nodes, lambda_schedule,
+                        make_grid_model, node_view, node_view_from_counts,
+                        remainder_kernel, remainder_kernel_floor, sample_exact,
+                        sampler, screening_gradient, screening_value,
+                        taylor_remainder)
 
 
 def _brute_force(samples: SampleSet, u: int, theta: np.ndarray):
@@ -193,3 +194,80 @@ def test_dimension_mismatch_rejected():
         screening_value(view, np.zeros(4))
     with pytest.raises(InputError):
         node_view(s, 7)
+
+
+def _per_vertex_dedup(samples: SampleSet, u: int):
+    """Reference: vertex u's product rows built from every sample and
+    deduplicated on their own, sorted by product code for p <= 64 and
+    lexicographically above that."""
+    others = np.delete(np.arange(samples.p), u)
+    products = samples.data[:, others] * samples.data[:, [u]]
+    k = others.size
+    if k > 63:
+        rows, counts = np.unique(products, axis=0, return_counts=True)
+        return others, rows.astype(np.float64), counts / float(samples.n)
+    shifts = np.arange(k, dtype=np.uint64)
+    codes = (products > 0).astype(np.uint64) @ (np.uint64(1) << shifts)
+    if k <= 20:
+        counts_full = np.bincount(codes.astype(np.int64), minlength=1 << k)
+        codes = np.nonzero(counts_full)[0].astype(np.uint64)
+        counts = counts_full[codes]
+    else:
+        codes, counts = np.unique(codes, return_counts=True)
+    bits = (codes[:, None] >> shifts[None, :]) & np.uint64(1)
+    rows = 2.0 * bits.astype(np.float64) - 1.0
+    return others, rows, counts / float(samples.n)
+
+
+@pytest.mark.parametrize("p", [2, 9, 23, 64, 70])
+def test_tally_views_match_per_vertex_dedup(p):
+    # p = 2 and 9 take the bincount branch, 23 and 64 the sorted codes
+    # (64 is the widest), 70 the row sort.
+    rng = np.random.default_rng(p)
+    pool = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, p))
+    # Globally flipped copies give the same product rows as the originals.
+    pool = np.vstack([pool, -pool[:20]])
+    data = pool[rng.integers(0, len(pool), size=1500)]
+    s = SampleSet(p, len(data), data)
+    for u in range(p):
+        view = node_view(s, u)
+        others, rows, weights = _per_vertex_dedup(s, u)
+        assert view.n == s.n
+        assert np.array_equal(view.others, others)
+        assert view.basis.dtype == rows.dtype
+        assert np.array_equal(view.basis, rows)
+        assert view.weights.dtype == weights.dtype
+        assert np.array_equal(view.weights, weights)
+
+
+def test_configuration_and_its_flip_share_a_row():
+    row = np.array([1, -1, -1, 1, 1], dtype=np.int8)
+    view = node_view(SampleSet(5, 3, np.vstack([row, -row, row])), 2)
+    assert view.basis.tolist() == [[-1.0, 1.0, -1.0, -1.0]]
+    assert view.weights.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_all_nodes_tallies_once(monkeypatch, threads):
+    calls = []
+    tally = sampler.tally_configurations
+
+    def counting(data):
+        calls.append(data.shape)
+        return tally(data)
+
+    monkeypatch.setattr(sampler, "tally_configurations", counting)
+    s = sample_exact(make_grid_model(3, 0.6), 2000, seed=4)
+    fit_all_nodes(s, lambda_schedule(s.p, s.n, 0.05), threads=threads)
+    assert calls == [(s.n, s.p)]
+
+
+def test_two_threads_match_one():
+    s = sample_exact(make_grid_model(3, 0.6), 4000, seed=8)
+    lam = lambda_schedule(s.p, s.n, 0.05)
+    serial = fit_all_nodes(SampleSet(s.p, s.n, s.data), lam, threads=1)
+    threaded = fit_all_nodes(SampleSet(s.p, s.n, s.data), lam, threads=2)
+    for one, two in zip(serial, threaded):
+        assert one.u == two.u
+        assert np.array_equal(one.theta_hat, two.theta_hat)
+        assert one.report.iterations == two.report.iterations
