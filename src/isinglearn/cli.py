@@ -92,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lrn.add_argument("--threshold", type=float, required=True,
                      help="edge threshold on |theta_ij + theta_ji|")
     lrn.add_argument("--kkt-tol", type=float, default=1e-7)
-    lrn.add_argument("--threads", type=int, default=1)
     lrn.add_argument("--out", default=None, help="default: stdout")
 
     ver = sub.add_parser("verify", help="run the oracle suite on a model")
@@ -200,7 +199,7 @@ def _cmd_learn(args) -> int:
         lam = lambda_schedule(samples.p, samples.n, args.epsilon,
                               mode="structure")
     config = SolverConfig(kkt_tolerance=args.kkt_tol)
-    estimates = fit_all_nodes(samples, lam, config, threads=args.threads)
+    estimates = fit_all_nodes(samples, lam, config)
     edge_set = edges_from_estimates(estimates, args.threshold, samples.p)
     _emit(result_to_json(lam, args.threshold, edge_set, estimates), args.out)
     if all(est.report.converged for est in estimates):
@@ -220,6 +219,8 @@ def _load_manifest(args) -> ExperimentManifest:
     with open(args.manifest, "r", encoding="ascii") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"manifest is not ASCII: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed manifest JSON: {exc}") from exc
     manifest = manifest_from_dict(obj)

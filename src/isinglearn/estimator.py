@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,8 +26,8 @@ import numpy as np
 from .errors import InputError
 from .model import IsingModel
 from .sampler import SampleSet
-from .screening import node_view
-from .solver import SolveReport, SolverConfig, minimize
+from .screening import node_view, tally_design
+from .solver import SolveReport, SolverConfig, minimize, minimize_rows
 
 
 @dataclass
@@ -67,39 +66,32 @@ def lambda_schedule(p: int, n: int, epsilon: float, mode: str = "structure") -> 
     return 4.0 * math.sqrt(math.log(arg) / n)
 
 
+def _with_penalty(lam: float, config: SolverConfig | None) -> SolverConfig:
+    if lam < 0:
+        raise InputError("lam must be >= 0")
+    return replace(config if config is not None else SolverConfig(), lam=lam)
+
+
 def fit_node(samples: SampleSet, u: int, lam: float,
              config: SolverConfig | None = None) -> NodeEstimate:
     """Penalized fit of vertex u's coupling vector."""
-    if lam < 0:
-        raise InputError("lam must be >= 0")
-    cfg = replace(config if config is not None else SolverConfig(), lam=lam)
+    cfg = _with_penalty(lam, config)
     view = node_view(samples, u)
     report = minimize(view, cfg)
     return NodeEstimate(u, report.solution, lam, report)
 
 
 def fit_all_nodes(samples: SampleSet, lam: float,
-                  config: SolverConfig | None = None,
-                  threads: int = 1) -> list[NodeEstimate]:
-    """Fit every vertex; results ordered by vertex id regardless of the
-    worker pool's scheduling. The sample set is shared read-only."""
-    if threads < 1:
-        raise InputError("threads must be >= 1")
+                  config: SolverConfig | None = None) -> list[NodeEstimate]:
+    """Fit every vertex in one lockstep solve on the sample set's
+    tally; results ordered by vertex id."""
+    cfg = _with_penalty(lam, config)
+    if samples.p < 2:
+        raise InputError("need p >= 2 for a nonempty view")
     nodes = range(samples.p)
-    if threads == 1:
-        return [fit_node(samples, u, lam, config) for u in nodes]
-    # Build the shared tally here, so the workers only read it.
-    samples.tally
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {u: pool.submit(fit_node, samples, u, lam, config) for u in nodes}
-        return [futures[u].result() for u in nodes]
-
-
-def _pair_sum(estimates: list[NodeEstimate], i: int, j: int) -> float:
-    # Position of j in the ascending list of vertices != i.
-    theta_ij = estimates[i].theta_hat[j - (j > i)]
-    theta_ji = estimates[j].theta_hat[i - (i > j)]
-    return float(theta_ij + theta_ji)
+    reports = minimize_rows(tally_design(samples), nodes, cfg)
+    return [NodeEstimate(u, rep.solution, lam, rep)
+            for u, rep in zip(nodes, reports)]
 
 
 def edges_from_estimates(estimates: list[NodeEstimate], alpha_threshold: float,
@@ -108,22 +100,20 @@ def edges_from_estimates(estimates: list[NodeEstimate], alpha_threshold: float,
         raise InputError("alpha_threshold must be positive")
     if len(estimates) != p or any(est.u != u for u, est in enumerate(estimates)):
         raise InputError("need one estimate per vertex, ordered by vertex id")
-    edges = set()
-    weights = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            s = _pair_sum(estimates, i, j)
-            if abs(s) >= alpha_threshold:
-                edges.add((i, j))
-                weights[(i, j)] = s / 2.0
-    return EdgeSet(p, edges, weights)
+    theta = np.zeros((p, p))
+    for est in estimates:
+        theta[est.u, np.arange(p) != est.u] = est.theta_hat
+    pair_sums = theta + theta.T
+    i, j = np.nonzero(np.triu(np.abs(pair_sums) >= alpha_threshold, k=1))
+    edges = list(zip(i.tolist(), j.tolist()))
+    weights = {e: float(pair_sums[e]) / 2.0 for e in edges}
+    return EdgeSet(p, set(edges), weights)
 
 
 def learn_structure(samples: SampleSet, lam: float, alpha_threshold: float,
-                    config: SolverConfig | None = None,
-                    threads: int = 1) -> EdgeSet:
+                    config: SolverConfig | None = None) -> EdgeSet:
     """Full pipeline: fit every vertex, then threshold symmetrized sums."""
-    estimates = fit_all_nodes(samples, lam, config, threads)
+    estimates = fit_all_nodes(samples, lam, config)
     return edges_from_estimates(estimates, alpha_threshold, samples.p)
 
 
@@ -159,6 +149,7 @@ def result_to_json(lam: float, alpha_threshold: float, edge_set: EdgeSet,
                 "iterations": est.report.iterations,
                 "kkt": est.report.final_kkt_residual,
                 "converged": est.report.converged,
+                "saturated": est.report.saturated,
             }
             for est in estimates
         ],

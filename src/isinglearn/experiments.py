@@ -261,8 +261,7 @@ def run_error_curve(manifest: ExperimentManifest) -> list[dict]:
             samples = _draw(manifest, model, n, seed)
             lam = lambda_schedule(model.p, n, manifest.epsilon, mode="node")
             estimates = fit_all_nodes(samples, lam,
-                                      config=_solver_config(manifest),
-                                      threads=manifest.threads)
+                                      config=_solver_config(manifest))
             errors.extend(square_error(est.theta_hat, model, est.u)
                           for est in estimates)
         rows.append({

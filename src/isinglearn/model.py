@@ -158,11 +158,19 @@ def _check_enumeration(p: int):
 
 
 def configurations_from_indices(indices, p: int) -> np.ndarray:
-    """Decode configuration indices to an (m, p) int8 array of spins."""
+    """Decode configuration indices to an (m, p) int8 array of spins,
+    one column at a time, so nothing wider than one index per row is
+    held besides the result."""
     idx = np.asarray(indices, dtype=np.uint64)
-    shifts = np.arange(p, dtype=np.uint64)
-    bits = (idx[:, None] >> shifts[None, :]) & np.uint64(1)
-    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
+    out = np.empty((idx.shape[0], p), dtype=np.int8)
+    bit = np.empty_like(idx)
+    for i in range(p):
+        np.right_shift(idx, np.uint64(i), out=bit)
+        np.bitwise_and(bit, np.uint64(1), out=bit)
+        out[:, i] = bit
+    out *= 2
+    out -= 1
+    return out
 
 
 def _exponents_for_indices(model: IsingModel, idx: np.ndarray) -> np.ndarray:
@@ -311,6 +319,9 @@ def model_from_json(text: str) -> IsingModel:
             raise InputError(f"bad edge entry {entry!r}")
         if any(isinstance(v, bool) for v in entry.values()):
             raise InputError(f"edge entry {entry!r} has a boolean field")
+        # float() would also take strings such as "0.5".
+        if not isinstance(entry["theta"], (int, float)):
+            raise InputError(f"edge entry {entry!r} has a non-numeric coupling")
         key = (entry["i"], entry["j"])
         if key in couplings:
             raise InputError(f"duplicate edge {key} in model JSON")
@@ -326,4 +337,8 @@ def save_model(model: IsingModel, path):
 
 def load_model(path) -> IsingModel:
     with open(path, "r", encoding="ascii") as fh:
-        return model_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"model file is not ASCII: {exc}") from exc
+    return model_from_json(text)

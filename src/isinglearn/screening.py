@@ -18,10 +18,20 @@ configuration tally (SampleSet.tally) rather than deduplicated anew.
 Linear forms are clamped to +/-LINEAR_FORM_LIMIT before
 exponentiation (exp overflows near 710); evaluations report whether
 the clamp fired so callers can flag saturation.
+
+All p losses at once: with C the tally's distinct configurations
+(spin 0 at +1) as rows, w their frequencies and Theta a p x p coupling
+matrix with a zero diagonal, vertex u's linear forms are
+z_u = C[:, u] * (C @ Theta[u]), its loss w @ exp(-z_u) and its gradient
+-(w exp(-z_u) C[:, u]) @ C with entry u masked. A Design holds C as
+int8 with w, built once per sample set (tally_design), and
+evaluate_rows computes any set of rows of Theta in one pass over it,
+a block of configurations at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +41,10 @@ from .errors import InputError
 from .sampler import SampleSet
 
 LINEAR_FORM_LIMIT = 700.0
+
+# Entries in each float64 array of one evaluate_rows block (the block's
+# spins, its linear forms): memory stays flat whatever the tally size.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -114,6 +128,92 @@ def node_view_from_counts(u: int, others, rows, counts) -> NodeView:
     rows, counts = rows[keep], counts[keep]
     n = int(counts.sum())
     return NodeView(int(u), others, rows, counts / float(n), n)
+
+
+class Design(NamedTuple):
+    """Distinct configurations and their weights, the data every
+    vertex's loss reads: spins is p x m int8 (+/-1), one configuration
+    per column; weights are their counts scaled by a power of two, and
+    total is the sample count scaled the same way (their sum)."""
+
+    spins: np.ndarray
+    weights: np.ndarray
+    total: float
+
+
+def _design(spins: np.ndarray, counts: np.ndarray, n: int) -> Design:
+    # Scaling by the power of two above n is exact, so the value at
+    # theta = 0 comes out exactly 1, and keeps the weights' sum below 1,
+    # so terms clamped at exp(LINEAR_FORM_LIMIT) cannot overflow it.
+    scale = 0.5 ** math.frexp(n)[1]
+    return Design(spins, counts * scale, n * scale)
+
+
+def tally_design(samples: SampleSet) -> Design:
+    """The sample set's tally as a design: each distinct configuration
+    up to the global flip, spin 0 at +1, with its count."""
+    tally = samples.tally
+    if tally.codes is None:
+        spins = np.ascontiguousarray(tally.configs.T)
+    else:
+        spins = np.ones((samples.p, tally.codes.size), dtype=np.int8)
+        for i in range(1, samples.p):
+            spins[i] = ((tally.codes >> (i - 1)) & 1) * 2 - 1
+    return _design(spins, tally.counts.astype(np.float64), samples.n)
+
+
+def view_design(view: NodeView) -> Design:
+    """One view as a design whose vertex 0 is the focal vertex: the
+    configurations are [1 | basis], since a product row is the
+    configuration multiplied by sigma_u, so row 0 of Theta is the view's
+    coupling vector. The view's weights are counts / n, so rounding
+    weights * n gives the counts back."""
+    spins = np.ones((view.others.size + 1, view.basis.shape[0]), dtype=np.int8)
+    spins[1:] = view.basis.T
+    return _design(spins, np.rint(view.weights * view.n), view.n)
+
+
+def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
+                  gradient: bool = True):
+    """Losses of the focal vertices rows[i] at the coupling rows
+    theta[i] (len(rows) x p, zero at each focal vertex), in one pass
+    over the design in blocks of configurations.
+
+    Returns (values, gradients, saturated): gradients is None unless
+    asked for, and its focal entries are 0; saturated[i] tells whether
+    row i's linear forms hit the clamp.
+    """
+    spins, weights, total = design
+    values = grads = 0.0
+    saturated = np.zeros(len(rows), dtype=bool)
+    # |z| <= ||theta[i]||_1 on +/-1 configurations, so rows below half
+    # the limit cannot reach it and skip the check.
+    risky = np.abs(theta).sum(axis=1) > LINEAR_FORM_LIMIT / 2
+    check = risky.any()
+    negated = -theta
+    block = max(1, _BLOCK_ENTRIES // max(len(rows), spins.shape[0]))
+    for lo in range(0, spins.shape[1], block):
+        c = spins[:, lo:lo + block].astype(np.float64)
+        focal = c[rows]
+        e = negated @ c
+        e *= focal
+        if check:
+            saturated |= risky & (np.abs(e).max(axis=1) > LINEAR_FORM_LIMIT)
+            np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
+        np.exp(e, out=e)
+        e *= weights[lo:lo + block]
+        # Along the contiguous axis numpy sums pairwise, which keeps the
+        # rounding far below the solver's 1e-15 slack.
+        values = values + e.sum(axis=1)
+        if gradient:
+            e *= focal
+            grads = grads + e @ c.T
+    values /= total
+    if not gradient:
+        return values, None, saturated
+    grads /= -total
+    grads[np.arange(len(rows)), rows] = 0.0
+    return values, grads, saturated
 
 
 class Evaluation(NamedTuple):

@@ -160,6 +160,16 @@ def test_non_ascii_sample_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_ascii_model_and_manifest_exit_2(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"p": 2, "edges": [], "note": "\xff"}')
+    assert main(["sample", "--model", str(path), "--n", "10", "--seed", "1",
+                 "--out", str(tmp_path / "x.txt")]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert main(["nmin", "--manifest", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_shortest_sample_text_rows_still_read(tmp_path):
     # Bare "1" tokens and no final newline: the fewest bytes a valid
     # file can have, which the header check must still accept.

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from isinglearn import (EdgeSet, InputError, IsingModel, SampleSet,
-                        SolverConfig, edges_from_estimates, fit_all_nodes,
-                        fit_node, lambda_schedule, learn_structure,
-                        make_grid_model, perfect_recovery, result_to_json,
-                        sample_exact, square_error)
+from isinglearn import (EdgeSet, GlauberConfig, InputError, IsingModel,
+                        SampleSet, SolverConfig, edges_from_estimates,
+                        evaluate, fit_all_nodes, fit_node, kkt_residual,
+                        lambda_schedule, learn_structure, make_grid_model,
+                        make_random_model, node_view, perfect_recovery,
+                        result_to_json, sample_exact, sample_glauber,
+                        square_error)
 
 
 def test_lambda_schedule_frozen_values():
@@ -108,14 +110,53 @@ def test_estimates_invariant_to_row_duplication_and_order():
             assert np.array_equal(a, b)
 
 
-def test_threads_do_not_change_results():
-    s = sample_exact(make_grid_model(3, 0.6), 20000, seed=46)
+def _samples(p: int) -> SampleSet:
+    if p == 9:
+        return sample_exact(make_grid_model(3, 0.7), 20000, seed=48)
+    if p == 16:
+        return sample_exact(make_grid_model(4, 0.9, "spin_glass", seed=5),
+                            30000, seed=49)
+    # Above 64 spins the tally keeps configurations as rows.
+    model = make_random_model(p, 0.05, 0.3, 0.6, seed=50)
+    return sample_glauber(model, 1500, GlauberConfig(seed=51, burn_in_sweeps=50,
+                                                     thinning_sweeps=2))
+
+
+@pytest.mark.parametrize("p", [9, 16, 70])
+def test_all_node_fit_matches_one_row_fits(p):
+    s = _samples(p)
+    lam = lambda_schedule(p, s.n, 0.05)
+    cfg = SolverConfig(kkt_tolerance=1e-8)
+    estimates = fit_all_nodes(s, lam, cfg)
+    assert [e.u for e in estimates] == list(range(p))
+    for est in estimates:
+        one = fit_node(s, est.u, lam, cfg)
+        assert est.report.converged and one.report.converged
+        np.testing.assert_allclose(est.theta_hat, one.theta_hat, atol=1e-6)
+        # Certified again, independently, on the vertex's own view.
+        grad = evaluate(node_view(s, est.u), est.theta_hat).gradient
+        assert kkt_residual(grad, est.theta_hat, lam) <= 1.01e-8
+
+
+def test_capped_row_stops_while_the_others_converge():
+    s = _samples(9)
     lam = lambda_schedule(9, s.n, 0.05)
-    one = fit_all_nodes(s, lam, threads=1)
-    two = fit_all_nodes(s, lam, threads=2)
-    assert [e.u for e in two] == list(range(9))
-    for a, b in zip(one, two):
-        assert np.array_equal(a.theta_hat, b.theta_hat)
+    full = fit_all_nodes(s, lam, SolverConfig(kkt_tolerance=1e-8))
+    counts = sorted(e.report.iterations for e in full)
+    assert counts[0] < counts[-1]
+    cap = counts[-1] - 1
+    capped = fit_all_nodes(s, lam, SolverConfig(kkt_tolerance=1e-8,
+                                                max_iterations=cap))
+    for before, after in zip(full, capped):
+        if before.report.iterations <= cap:
+            # Up to the cap both runs do the same arithmetic.
+            assert after.report.converged
+            assert after.report.iterations == before.report.iterations
+            assert np.array_equal(after.theta_hat, before.theta_hat)
+        else:
+            assert not after.report.converged
+            assert after.report.iterations == cap
+            assert after.report.final_kkt_residual > 1e-8
 
 
 def test_square_error():
@@ -151,5 +192,6 @@ def test_result_json_schema():
         assert e["weight"] == edge_set.weights[(e["i"], e["j"])]
     assert [r["u"] for r in doc["node_reports"]] == [0, 1, 2]
     for r in doc["node_reports"]:
-        assert set(r) == {"u", "iterations", "kkt", "converged"}
+        assert set(r) == {"u", "iterations", "kkt", "converged", "saturated"}
         assert r["converged"] is True
+        assert r["saturated"] is False

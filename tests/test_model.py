@@ -8,7 +8,8 @@ from isinglearn import (CapabilityError, InputError, IsingModel, beta_d,
                         energy_exponent, exact_distribution,
                         exact_probability, log_partition, make_grid_model,
                         make_random_model, model_from_json, model_to_json)
-from isinglearn.model import load_model, save_model
+from isinglearn.model import (configurations_from_indices, load_model,
+                              save_model)
 
 
 def test_canonicalizes_and_validates_edges():
@@ -172,7 +173,32 @@ def test_json_file_round_trip(tmp_path):
     '{"p": 3, "edges": [{"i": true, "j": 2, "theta": 0.5}]}',
     '{"p": 3, "edges": [{"i": 0, "j": true, "theta": 0.5}]}',
     '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": true}]}',
+    '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": "0.5"}]}',  # would load as 0.5
+    '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": null}]}',
 ])
 def test_json_rejects_malformed(text):
     with pytest.raises(InputError):
         model_from_json(text)
+
+
+def _decode_reference(indices, p):
+    """The n x p uint64 bit-matrix decode that the column-by-column one
+    replaced."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    shifts = np.arange(p, dtype=np.uint64)
+    bits = (idx[:, None] >> shifts[None, :]) & np.uint64(1)
+    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
+
+
+@pytest.mark.parametrize("p, n", [(1, 28000), (16, 28000), (16, 80000),
+                                  (16, 832000), (25, 80000)])
+def test_configuration_decode_matches_bit_matrix(p, n):
+    # p = 16 at the criterion-9 n_min sizes, and the enumeration extremes.
+    rng = np.random.default_rng(p + n)
+    idx = rng.integers(0, 1 << p, size=n, dtype=np.uint64)
+    idx[:2] = [0, (1 << p) - 1]
+    out = configurations_from_indices(idx, p)
+    assert out.dtype == np.int8 and out.shape == (n, p)
+    for lo in range(0, n, 100000):
+        ref = _decode_reference(idx[lo:lo + 100000], p)
+        assert np.array_equal(out[lo:lo + 100000], ref)

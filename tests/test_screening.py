@@ -7,6 +7,7 @@ from isinglearn import (InputError, IsingModel, SampleSet, empirical_covariance,
                         remainder_kernel, remainder_kernel_floor, sample_exact,
                         sampler, screening_gradient, screening_value,
                         taylor_remainder)
+from isinglearn.screening import evaluate_rows, tally_design
 
 
 def _brute_force(samples: SampleSet, u: int, theta: np.ndarray):
@@ -187,6 +188,30 @@ def test_saturation_flag_and_clamping():
     assert not evaluate(view, np.zeros(3)).saturated
 
 
+@pytest.mark.parametrize("p", [5, 70])
+def test_evaluate_rows_matches_node_views(p):
+    # One pass over the tally's design gives every vertex the value,
+    # gradient and saturation flag its own node view gives; row 0 is
+    # pushed past the clamp. p = 70 takes the tally's row branch.
+    rng = np.random.default_rng(p)
+    data = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3000, p))
+    s = SampleSet(p, len(data), np.vstack([data[:2000], -data[:1000]]))
+    theta = rng.normal(scale=0.2, size=(p, p))
+    theta[0, 1] = 800.0
+    np.fill_diagonal(theta, 0.0)
+    values, grads, saturated = evaluate_rows(tally_design(s), np.arange(p),
+                                             theta)
+    for u in range(p):
+        ref = evaluate(node_view(s, u), np.delete(theta[u], u))
+        assert values[u] == pytest.approx(ref.value, rel=1e-12)
+        np.testing.assert_allclose(np.delete(grads[u], u), ref.gradient,
+                                   rtol=1e-11, atol=1e-14 * abs(ref.value))
+        assert grads[u, u] == 0.0
+        assert saturated[u] == ref.saturated
+    assert saturated[0] and not saturated[1:].any()
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+
+
 def test_dimension_mismatch_rejected():
     s = sample_exact(make_grid_model(2, 0.5), 100, seed=2)
     view = node_view(s, 0)
@@ -247,8 +272,7 @@ def test_configuration_and_its_flip_share_a_row():
     assert view.weights.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_fit_all_nodes_tallies_once(monkeypatch, threads):
+def test_fit_all_nodes_tallies_once(monkeypatch):
     calls = []
     tally = sampler.tally_configurations
 
@@ -258,16 +282,5 @@ def test_fit_all_nodes_tallies_once(monkeypatch, threads):
 
     monkeypatch.setattr(sampler, "tally_configurations", counting)
     s = sample_exact(make_grid_model(3, 0.6), 2000, seed=4)
-    fit_all_nodes(s, lambda_schedule(s.p, s.n, 0.05), threads=threads)
+    fit_all_nodes(s, lambda_schedule(s.p, s.n, 0.05))
     assert calls == [(s.n, s.p)]
-
-
-def test_two_threads_match_one():
-    s = sample_exact(make_grid_model(3, 0.6), 4000, seed=8)
-    lam = lambda_schedule(s.p, s.n, 0.05)
-    serial = fit_all_nodes(SampleSet(s.p, s.n, s.data), lam, threads=1)
-    threaded = fit_all_nodes(SampleSet(s.p, s.n, s.data), lam, threads=2)
-    for one, two in zip(serial, threaded):
-        assert one.u == two.u
-        assert np.array_equal(one.theta_hat, two.theta_hat)
-        assert one.report.iterations == two.report.iterations

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from isinglearn import (InputError, IsingModel, SolverConfig, kkt_residual,
-                        make_grid_model, minimize, node_view, sample_exact,
-                        screening_gradient, screening_value, soft_threshold)
+from isinglearn import (InputError, IsingModel, SampleSet, SolverConfig,
+                        kkt_residual, make_grid_model, minimize, node_view,
+                        sample_exact, screening_gradient, screening_value,
+                        soft_threshold)
+from isinglearn.screening import tally_design
+from isinglearn.solver import minimize_rows
 
 
 def test_soft_threshold_basic():
@@ -124,3 +127,16 @@ def test_bad_start_shape_rejected():
     view = node_view(s, 0)
     with pytest.raises(InputError):
         minimize(view, SolverConfig(), x0=np.zeros(5))
+
+
+def test_saturation_is_flagged_per_row():
+    # Spin 1 copies spin 0, so row 0 started at theta_01 = 800 has every
+    # linear form at +800, past the clamp; the other rows start at 0.
+    data = sample_exact(make_grid_model(3, 0.7), 2000, seed=6).data.copy()
+    data[:, 1] = data[:, 0]
+    x0 = np.zeros((9, 9))
+    x0[0, 1] = 800.0
+    reports = minimize_rows(tally_design(SampleSet(9, 2000, data)), range(9),
+                            SolverConfig(lam=0.05, max_iterations=1), x0)
+    assert [r.saturated for r in reports] == [u == 0 for u in range(9)]
+    assert all(np.isfinite(r.objective_value) for r in reports)
