@@ -11,6 +11,7 @@ failed (the report is still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -116,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     err.add_argument("--manifest", required=True)
     err.add_argument("--out", default=None)
     err.add_argument("--trials", type=int, default=None)
-    err.add_argument("--threads", type=int, default=None)
 
     return parser
 
@@ -223,14 +223,12 @@ def _load_manifest(args) -> ExperimentManifest:
             raise InputError(f"manifest is not ASCII: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed manifest JSON: {exc}") from exc
-    manifest = manifest_from_dict(obj)
-    if args.out is not None:
-        manifest.out = args.out
-    if args.trials is not None:
-        manifest.trials = args.trials
-    if args.threads is not None:
-        manifest.threads = args.threads
-    return manifest
+    # Overrides go through the constructor, so they are validated too.
+    overrides = {"out": args.out, "trials": args.trials,
+                 "threads": getattr(args, "threads", None)}
+    return dataclasses.replace(
+        manifest_from_dict(obj),
+        **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_nmin(args) -> int:

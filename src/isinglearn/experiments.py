@@ -43,7 +43,9 @@ class ExperimentManifest:
     kind "nmin_vs_p" sweeps grid sides at fixed coupling magnitude
     (param column = p); "nmin_vs_beta" sweeps coupling magnitudes at a
     fixed side (param column = beta); "error_vs_n" sweeps the sample
-    sizes in ns on one fixed model.
+    sizes in ns on one fixed model. threads sizes the pool that runs
+    an nmin candidate's trials; error_vs_n runs its trials in turn and
+    takes only threads = 1.
     """
 
     kind: str
@@ -82,6 +84,9 @@ class ExperimentManifest:
             raise InputError("need 1 <= n_start <= n_max")
         if self.threads < 1:
             raise InputError("threads must be >= 1")
+        if self.kind == "error_vs_n" and self.threads != 1:
+            raise InputError("error_vs_n runs its trials in turn; "
+                             "threads must be 1")
         self.sides = tuple(int(s) for s in self.sides)
         self.betas = tuple(float(b) for b in self.betas)
         self.ns = tuple(int(v) for v in self.ns)

@@ -215,23 +215,17 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
                 for i, o in zip(pos[acc], obj_cand[acc]):
                     history[i].append(float(o))
             # Momentum points, evaluated in the same pass as the new
-            # iterates. A zero coefficient (the first step after a
-            # (re)start, and every step without acceleration) leaves y
-            # equal to x; its evaluation is then x's own.
+            # iterates.
             if config.acceleration:
                 t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom[acc] ** 2))
                 coef = (t_mom[acc] - 1.0) / t_next
             else:
                 t_next, coef = t_mom[acc], np.zeros(k)
             y_new = x_acc + coef[:, None] * (x_acc - x_prev[acc])
-            moving = coef != 0.0
-            # Row of each accepted row's momentum point in the evaluation.
-            at_y = np.arange(k)
-            at_y[moving] = np.arange(k, k + np.count_nonzero(moving))
             u_acc = u[acc]
             values, grads, sat = evaluate_rows(
-                design, np.concatenate([u_acc, u_acc[moving]]),
-                np.vstack([x_acc, y_new[moving]]))
+                design, np.concatenate([u_acc, u_acc]),
+                np.concatenate([x_acc, y_new]))
             value_x[acc], grad_x[acc] = values[:k], grads[:k]
             saturated[acc] |= sat[:k]
             residual[acc] = _kkt_rows(grads[:k], x_acc, lam)
@@ -247,9 +241,8 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             out_iter[i] = iteration
 
         if k:
-            y[acc], value_y[acc], grad_y[acc] = (y_new, values[at_y],
-                                                 grads[at_y])
-            saturated[acc] |= sat[at_y]
+            y[acc], value_y[acc], grad_y[acc] = y_new, values[k:], grads[k:]
+            saturated[acc] |= sat[k:]
             t_mom[acc] = t_next
             y_is_x[acc] = not config.acceleration
             step[acc] *= _STEP_GROWTH

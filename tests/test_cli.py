@@ -253,6 +253,34 @@ def test_error_curve_subcommand(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_error_curve_rejects_threads(tmp_path, capsys):
+    # error_vs_n runs its trials in turn, so a thread count there would
+    # be accepted and do nothing; the manifest field and the flag are
+    # refused instead.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "kind": "error_vs_n", "seed": 3, "side": 2, "beta": 0.8,
+        "ns": [400], "trials": 1, "threads": 2,
+    }))
+    assert main(["error-curve", "--manifest", str(manifest)]) == 2
+    assert "threads" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["error-curve", "--manifest", str(manifest), "--threads", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_manifest_overrides_are_validated(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "kind": "nmin_vs_beta", "seed": 2, "side": 2, "betas": [0.8],
+        "trials": 1, "n_start": 250,
+    }))
+    assert main(["nmin", "--manifest", str(manifest), "--threads", "0"]) == 2
+    assert main(["nmin", "--manifest", str(manifest), "--trials", "0"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 SUBCOMMANDS = ("gen-model", "sample", "fit", "learn", "verify", "nmin",
                "error-curve")
 

@@ -17,6 +17,8 @@ def test_manifest_validation():
     with pytest.raises(InputError):
         ExperimentManifest(kind="error_vs_n", seed=1, trials=0)
     with pytest.raises(InputError):
+        ExperimentManifest(kind="error_vs_n", seed=1, threads=2)
+    with pytest.raises(InputError):
         ExperimentManifest(kind="nmin_vs_beta", seed=1, rel_width=0.0)
     with pytest.raises(InputError):
         ExperimentManifest(kind="nmin_vs_beta", seed=1, n_start=100, n_max=10)
