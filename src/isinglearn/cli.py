@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     how.add_argument("--exact", action="store_true",
                      help="inverse-CDF over the enumerated distribution (default)")
     how.add_argument("--glauber", action="store_true",
-                     help="single-site heat-bath chain")
+                     help="heat-bath chain, one colour class at a time")
     smp.add_argument("--burn-in", type=int, default=1000)
     smp.add_argument("--thin", type=int, default=10)
     smp.add_argument("--binary", action="store_true",
@@ -221,7 +221,7 @@ def _load_manifest(args) -> ExperimentManifest:
             obj = json.load(fh)
         except UnicodeDecodeError as exc:
             raise InputError(f"manifest is not ASCII: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"malformed manifest JSON: {exc}") from exc
     # Overrides go through the constructor, so they are validated too.
     overrides = {"out": args.out, "trials": args.trials,

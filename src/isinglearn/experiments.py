@@ -19,9 +19,10 @@ penalty schedule and reports the mean l2 coupling error.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +71,19 @@ class ExperimentManifest:
     out: str | None = None
 
     def __post_init__(self):
+        # operator.index takes only integers (numpy ones too), float()
+        # only numbers or numeric strings. A wrong type in a field
+        # compared below raises TypeError, which manifest_from_dict reports.
+        try:
+            self.seed = operator.index(self.seed)
+            self.sides = tuple(map(operator.index, self.sides))
+            self.betas = tuple(map(float, self.betas))
+            self.ns = tuple(map(operator.index, self.ns))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"seed, sides and ns take integers, betas "
+                             f"numbers: {exc}") from exc
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.kind not in ("nmin_vs_p", "nmin_vs_beta", "error_vs_n"):
             raise InputError(f"unknown experiment kind {self.kind!r}")
         if self.family not in ("ferromagnet", "spin_glass"):
@@ -87,15 +101,6 @@ class ExperimentManifest:
         if self.kind == "error_vs_n" and self.threads != 1:
             raise InputError("error_vs_n runs its trials in turn; "
                              "threads must be 1")
-        self.sides = tuple(int(s) for s in self.sides)
-        self.betas = tuple(float(b) for b in self.betas)
-        self.ns = tuple(int(v) for v in self.ns)
-
-
-def _manifest_to_dict(manifest: ExperimentManifest) -> dict:
-    from dataclasses import asdict
-
-    return asdict(manifest)
 
 
 def manifest_from_dict(obj: dict) -> ExperimentManifest:

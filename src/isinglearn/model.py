@@ -38,7 +38,11 @@ def _canonical_couplings(couplings):
             raise InputError(f"self-loop ({i}, {j}) is not allowed")
         if i > j:
             i, j = j, i
-        theta = float(theta)
+        try:
+            theta = float(theta)
+        except OverflowError as exc:
+            raise InputError(f"coupling for edge ({i}, {j}) is too large "
+                             f"for a float") from exc
         if not math.isfinite(theta):
             raise InputError(f"coupling for edge ({i}, {j}) must be finite")
         if theta == 0.0:
@@ -304,7 +308,9 @@ def model_to_json(model: IsingModel) -> str:
 def model_from_json(text: str) -> IsingModel:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integer literals past Python's digit
+        # limit; RecursionError is nesting deeper than the parser goes.
         raise InputError(f"malformed model JSON: {exc}") from exc
     if not isinstance(obj, dict) or "p" not in obj or "edges" not in obj:
         raise InputError('model JSON must be an object with "p" and "edges"')
@@ -317,15 +323,17 @@ def model_from_json(text: str) -> IsingModel:
     for entry in obj["edges"]:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "theta"}:
             raise InputError(f"bad edge entry {entry!r}")
-        if any(isinstance(v, bool) for v in entry.values()):
-            raise InputError(f"edge entry {entry!r} has a boolean field")
-        # float() would also take strings such as "0.5".
-        if not isinstance(entry["theta"], (int, float)):
-            raise InputError(f"edge entry {entry!r} has a non-numeric coupling")
-        key = (entry["i"], entry["j"])
-        if key in couplings:
-            raise InputError(f"duplicate edge {key} in model JSON")
-        couplings[key] = entry["theta"]
+        i, j, theta = entry["i"], entry["j"], entry["theta"]
+        # Bools would pass as the ints 1/0, and float() would also take
+        # strings such as "0.5".
+        if (any(isinstance(v, bool) for v in (i, j, theta))
+                or not (isinstance(i, int) and isinstance(j, int))
+                or not isinstance(theta, (int, float))):
+            raise InputError(f"edge entry {entry!r} needs integer endpoints "
+                             f"and a numeric coupling")
+        if (i, j) in couplings:
+            raise InputError(f"duplicate edge {(i, j)} in model JSON")
+        couplings[(i, j)] = theta
     return IsingModel(obj["p"], couplings)
 
 

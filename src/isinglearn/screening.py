@@ -250,10 +250,7 @@ def evaluate(view: NodeView, theta) -> Evaluation:
 
 
 def screening_value(view: NodeView, theta) -> float:
-    theta = _check_theta(view, theta)
-    z, _ = _clamped_forms(view, theta)
-    w = view.weights * np.exp(-z)
-    return float(np.sum(w, dtype=np.longdouble))
+    return evaluate(view, theta).value
 
 
 def screening_gradient(view: NodeView, theta) -> np.ndarray:
@@ -272,11 +269,6 @@ def remainder_kernel_floor(z):
     """Quadratic-over-linear lower bound z**2 / (2 + |z|)."""
     z = np.asarray(z, dtype=np.float64)
     return z * z / (2.0 + np.abs(z))
-
-
-def kernel_bound_pair(z):
-    """(kernel value, lower bound) for scalar or array z."""
-    return remainder_kernel(z), remainder_kernel_floor(z)
 
 
 def taylor_remainder(view: NodeView, theta_star, delta) -> float:

@@ -39,6 +39,8 @@ import numpy as np
 from .errors import InputError
 from .screening import Design, NodeView, evaluate_rows, view_design
 
+_INITIAL_STEP = 1.0
+_BACKTRACK_SHRINK = 0.5
 _STEP_GROWTH = 1.25
 _MIN_STEP = 1e-18
 
@@ -48,8 +50,6 @@ class SolverConfig:
     lam: float = 0.0
     kkt_tolerance: float = 1e-7
     max_iterations: int = 50000
-    backtrack_shrink: float = 0.5
-    initial_step: float = 1.0
     acceleration: bool = True
     track_history: bool = False
 
@@ -60,10 +60,6 @@ class SolverConfig:
             raise InputError("kkt_tolerance must be positive")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
-        if not 0.0 < self.backtrack_shrink < 1.0:
-            raise InputError("backtrack_shrink must lie in (0, 1)")
-        if self.initial_step <= 0:
-            raise InputError("initial_step must be positive")
 
 
 @dataclass
@@ -163,7 +159,7 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
     y, value_y, grad_y = x.copy(), value_x.copy(), grad_x.copy()
     y_is_x = np.ones(pos.size, dtype=bool)
     t_mom = np.ones(pos.size)
-    step = np.full(pos.size, config.initial_step)
+    step = np.full(pos.size, _INITIAL_STEP)
 
     for iteration in range(1, config.max_iterations + 1):
         if pos.size == 0:
@@ -176,7 +172,7 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
         fits = _majorized(val_cand, cand, y, value_y, grad_y, step, slack)
         todo = np.flatnonzero(~fits) if not fits.all() else ()
         while len(todo):
-            step[todo] *= config.backtrack_shrink
+            step[todo] *= _BACKTRACK_SHRINK
             s = step[todo, None]
             c = soft_threshold(y[todo] - s * grad_y[todo], s * lam)
             v = evaluate_rows(design, u[todo], c, gradient=False)[0]
@@ -200,7 +196,7 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             # A plain step from x cannot descend: numerical stall.
             stall = worse & y_is_x
             y_is_x |= restart
-            step[stall] *= config.backtrack_shrink
+            step[stall] *= _BACKTRACK_SHRINK
             done = stall & (step <= _MIN_STEP)
             acc = np.flatnonzero(~worse)
         else:

@@ -194,6 +194,38 @@ def test_boolean_model_fields_exit_2(tmp_path, capsys, text):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"p": 3, "edges": [{"i": [0], "j": 1, "theta": 0.5}]}',
+    '{"p": 3, "edges": [{"i": 0, "j": {}, "theta": 0.5}]}',
+    pytest.param('{"p": 3, "edges": [{"i": 0, "j": 1, "theta": 1%s}]}'
+                 % ("0" * 399), id="400-digit-theta"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-past-recursion"),
+])
+def test_malformed_model_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["sample", "--model", str(path), "--n", "10", "--seed", "1",
+                 "--out", str(tmp_path / "x.txt")]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("error-curve", {"kind": "error_vs_n", "seed": 3, "ns": ["x"]}),
+    ("nmin", {"kind": "nmin_vs_beta", "seed": "abc", "betas": [0.8]}),
+    ("nmin", {"kind": "nmin_vs_beta", "seed": 2, "betas": [0.8],
+              "trials": "3"}),
+    ("nmin", None),  # nested past the parser's recursion
+])
+def test_malformed_manifest_exits_2(tmp_path, capsys, command, fields):
+    path = tmp_path / "manifest.json"
+    if fields is None:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    else:
+        path.write_text(json.dumps(fields))
+    assert main([command, "--manifest", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_enumeration_guard_exits_3(tmp_path, capsys):
     model = tmp_path / "big.json"
     assert main(["gen-model", "--grid", "6", "--beta", "0.3",

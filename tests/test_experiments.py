@@ -24,6 +24,11 @@ def test_manifest_validation():
         ExperimentManifest(kind="nmin_vs_beta", seed=1, n_start=100, n_max=10)
     with pytest.raises(InputError):
         manifest_from_dict({"kind": "error_vs_n", "seed": 1, "bogus": 2})
+    for bad in ({"ns": ["x"]}, {"ns": [1.5]}, {"ns": 100}, {"sides": ["4"]},
+                {"betas": ["x"]}, {"betas": [10 ** 400]}, {"seed": "abc"},
+                {"seed": 1.0}, {"seed": -1}):
+        with pytest.raises(InputError):
+            manifest_from_dict({"kind": "error_vs_n", "seed": 1, **bad})
     m = manifest_from_dict({"kind": "error_vs_n", "seed": 7,
                             "ns": [100, 200], "betas": [0.5]})
     assert m.ns == (100, 200) and m.betas == (0.5,)

@@ -175,6 +175,11 @@ def test_json_file_round_trip(tmp_path):
     '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": true}]}',
     '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": "0.5"}]}',  # would load as 0.5
     '{"p": 3, "edges": [{"i": 0, "j": 1, "theta": null}]}',
+    '{"p": 3, "edges": [{"i": [0], "j": 1, "theta": 0.5}]}',  # unhashable
+    '{"p": 3, "edges": [{"i": 0, "j": {"k": 1}, "theta": 0.5}]}',
+    pytest.param('{"p": 3, "edges": [{"i": 0, "j": 1, "theta": 1%s}]}'
+                 % ("0" * 399), id="400-digit-theta"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-past-recursion"),
 ])
 def test_json_rejects_malformed(text):
     with pytest.raises(InputError):

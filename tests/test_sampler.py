@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from isinglearn import (GlauberConfig, InputError, IsingModel, SampleSet,
                         empirical_covariance, exact_distribution,
-                        make_grid_model, read_samples_binary,
-                        read_samples_text, sample_exact, sample_glauber,
-                        write_samples_binary, write_samples_text)
+                        make_grid_model, make_random_model,
+                        read_samples_binary, read_samples_text, sample_exact,
+                        sample_glauber, write_samples_binary,
+                        write_samples_text)
+from isinglearn.sampler import _colour_classes
 
 
 def _config_counts(samples: SampleSet) -> np.ndarray:
@@ -188,3 +192,72 @@ def test_readers_reject_malformed(tmp_path):
                           + (100).to_bytes(8, "little") + b"\x00")
     with pytest.raises(InputError):
         read_samples_binary(truncated)
+
+
+def _sequential_glauber(model: IsingModel, n: int,
+                        config: GlauberConfig) -> np.ndarray:
+    """The heat-bath chain one site at a time: the same random stream
+    (initial state, then one uniform per sweep and site) and the same
+    comparison as sample_glauber, visiting the sites class by class in
+    the order of its colouring."""
+    p = model.p
+    rng = np.random.default_rng(config.seed)
+    spins = [int(v) for v in rng.integers(0, 2, size=p) * 2 - 1]
+    total = config.burn_in_sweeps + n * config.thinning_sweeps
+    uniforms = rng.random((total, p))
+    neighbours = [[] for _ in range(p)]
+    for (i, j), theta in model.couplings.items():
+        neighbours[i].append((j, theta))
+        neighbours[j].append((i, theta))
+    visit = [int(i) for sites in _colour_classes(model) for i in sites]
+    rows = []
+    for sweep in range(total):
+        for i in visit:
+            field = sum(2.0 * theta * spins[j] for j, theta in neighbours[i])
+            u = uniforms[sweep, i]
+            logit = math.log(u) - math.log1p(-u)
+            spins[i] = int(math.copysign(1.0, field - logit))
+        after = sweep + 1 - config.burn_in_sweeps
+        if after > 0 and after % config.thinning_sweeps == 0:
+            rows.append(list(spins))
+    return np.array(rows, dtype=np.int8)
+
+
+@pytest.mark.parametrize("model, colours", [
+    (make_grid_model(3, 0.5), 4),  # odd torus: greedy needs 4 here
+    (make_random_model(12, 0.3, 0.2, 0.9, seed=5), None),
+    (make_grid_model(4, 0.5, "spin_glass", seed=2), 2),
+    (IsingModel(5, {}), 1),
+    (IsingModel(1, {}), 1),
+], ids=["torus-3x3", "random-12", "glass-4x4", "edgeless", "one-spin"])
+def test_glauber_matches_sequential_scan(model, colours):
+    # A colour class is updated in one step from the spins before it;
+    # that equals one site at a time only if no two of its sites are
+    # adjacent, so an improper colouring fails here.
+    if colours is not None:
+        assert len(_colour_classes(model)) == colours
+    config = GlauberConfig(seed=7, burn_in_sweeps=20, thinning_sweeps=3)
+    s = sample_glauber(model, 120, config)
+    assert np.array_equal(s.data, _sequential_glauber(model, 120, config))
+
+
+def test_colour_classes_are_proper_and_cover_every_site():
+    for model in (make_grid_model(9, 0.4), make_grid_model(10, 0.4),
+                  make_random_model(30, 0.2, 0.1, 0.5, seed=3)):
+        classes = _colour_classes(model)
+        colour = np.empty(model.p, dtype=int)
+        for c, sites in enumerate(classes):
+            colour[sites] = c
+        assert sorted(np.concatenate(classes).tolist()) == list(range(model.p))
+        assert all(colour[i] != colour[j] for i, j in model.couplings)
+
+
+def test_glauber_matches_exact_distribution_off_bipartite():
+    # A 5-cycle needs 3 colours and has classes of two sites; mixed
+    # signs and strong couplings make a wrong update order visible.
+    m = IsingModel(5, {(0, 1): 0.8, (1, 2): -0.6, (2, 3): 0.7, (3, 4): 0.5,
+                       (0, 4): -0.9})
+    assert [len(c) for c in _colour_classes(m)] == [2, 2, 1]
+    s = sample_glauber(m, 60_000, GlauberConfig(seed=12, burn_in_sweeps=100,
+                                                thinning_sweeps=2))
+    assert _tv_from_exact(s, m) <= 0.02

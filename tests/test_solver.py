@@ -116,10 +116,6 @@ def test_config_validation():
         SolverConfig(kkt_tolerance=0.0)
     with pytest.raises(InputError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(InputError):
-        SolverConfig(backtrack_shrink=1.0)
-    with pytest.raises(InputError):
-        SolverConfig(initial_step=-1.0)
 
 
 def test_bad_start_shape_rejected():
