@@ -19,10 +19,11 @@ samples = sample_exact(model, 100000, seed=11)
 u = 4
 view = node_view(samples, u)
 
-# The view collapses duplicate +/-1 product rows, so evaluations cost
-# O(distinct rows), not O(n). For p=9 there are at most 256 rows.
+# The view reads the sample set's tally of distinct configurations up to
+# the global flip, so evaluations cost O(distinct configurations), not
+# O(n). For p=9 there are at most 256 of them.
 print(f"focal vertex {u}: {samples.n} samples collapsed to "
-      f"{view.basis.shape[0]} distinct rows")
+      f"{view.basis.shape[0]} distinct configurations")
 
 truth = model.coupling_row(u)
 print("loss at zero:     ", screening_value(view, np.zeros(8)))

@@ -264,11 +264,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy's generators refuse negative seeds with a bare ValueError.
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapabilityError as exc:

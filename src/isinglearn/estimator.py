@@ -67,7 +67,7 @@ def lambda_schedule(p: int, n: int, epsilon: float, mode: str = "structure") -> 
 
 
 def _with_penalty(lam: float, config: SolverConfig | None) -> SolverConfig:
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise InputError("lam must be >= 0")
     return replace(config if config is not None else SolverConfig(), lam=lam)
 
@@ -96,7 +96,7 @@ def fit_all_nodes(samples: SampleSet, lam: float,
 
 def edges_from_estimates(estimates: list[NodeEstimate], alpha_threshold: float,
                          p: int) -> EdgeSet:
-    if alpha_threshold <= 0:
+    if not alpha_threshold > 0:  # NaN fails too
         raise InputError("alpha_threshold must be positive")
     if len(estimates) != p or any(est.u != u for u, est in enumerate(estimates)):
         raise InputError("need one estimate per vertex, ordered by vertex id")

@@ -69,6 +69,9 @@ class IsingModel:
         for i, j in canon:
             if j >= self.p or i < 0:
                 raise InputError(f"edge ({i}, {j}) out of range for p={self.p}")
+        # The sum bounds every energy; past float64 they turn to inf/NaN.
+        if not math.isfinite(sum(abs(t) for t in canon.values())):
+            raise InputError("coupling magnitudes must have a finite sum")
         object.__setattr__(self, "couplings", canon)
 
     @property

@@ -24,7 +24,8 @@ loop advances all of them in lockstep: every row keeps its own step,
 momentum and restart state, each round's evaluations of all unfinished
 rows go through one pass over the design (screening.evaluate_rows), and
 a row drops out once it converges, stalls or reaches max_iterations.
-minimize(view, config) is the one-row case, on the view's own design.
+minimize(view, config) is the one-row case: a view is the shared design
+plus its focal vertex, so one vertex is solved on the same data.
 
 Convergence is declared per row on the subgradient optimality residual
 (kkt_residual below), not on objective or iterate drift.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .screening import Design, NodeView, evaluate_rows, view_design
+from .screening import Design, NodeView, evaluate_rows, focal_row
 
 _INITIAL_STEP = 1.0
 _BACKTRACK_SHRINK = 0.5
@@ -54,9 +55,10 @@ class SolverConfig:
     track_history: bool = False
 
     def __post_init__(self):
-        if self.lam < 0:
+        # Written so that NaN fails too.
+        if not self.lam >= 0:
             raise InputError("lam must be >= 0")
-        if self.kkt_tolerance <= 0:
+        if not self.kkt_tolerance > 0:
             raise InputError("kkt_tolerance must be positive")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
@@ -263,13 +265,7 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
 def minimize(view: NodeView, config: SolverConfig,
              x0: np.ndarray | None = None) -> SolveReport:
     """Minimize one view's penalized loss: the one-row case of
-    minimize_rows on the view's own design, with the view's focal
-    vertex as vertex 0."""
-    k = view.others.size
-    start = None
-    if x0 is not None:
-        start = np.asarray(x0, dtype=np.float64)
-        if start.shape != (k,):
-            raise InputError(f"x0 has shape {start.shape}, expected ({k},)")
-        start = np.concatenate([[0.0], start])[None, :]
-    return minimize_rows(view_design(view), [0], config, start)[0]
+    minimize_rows on the view's design. x0, when given, is indexed like
+    view.others."""
+    start = None if x0 is None else focal_row(view, x0)
+    return minimize_rows(view.design, [view.u], config, start)[0]

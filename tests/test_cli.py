@@ -137,7 +137,28 @@ def test_input_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "m.json")]) == 2
     assert main(["gen-model", "--random", "4",
                  "--out", str(tmp_path / "m.json")]) == 2  # needs --seed
+    good_model = tmp_path / "good.json"
+    assert main(["gen-model", "--grid", "2", "--out", str(good_model)]) == 0
+    for argv in (["sample", "--model", str(good_model), "--n", "10"],
+                 ["verify", "--model", str(good_model)],
+                 ["gen-model", "--random", "4"]):
+        assert main(argv + ["--seed", "-1",
+                            "--out", str(tmp_path / "y")]) == 2
+    assert main(["learn", "--samples", str(tmp_path),
+                 "--threshold", "0.5"]) == 2  # a directory
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [
+    ["fit", "--node", "0", "--lambda", "nan"],
+    ["learn", "--threshold", "nan"],
+    ["learn", "--threshold", "0.5", "--kkt-tol", "nan"],
+])
+def test_nan_knobs_exit_2(tmp_path, capsys, extra):
+    path = tmp_path / "samples.txt"
+    path.write_text("2 2\n1 1\n1 -1\n")
+    assert main(extra[:1] + ["--samples", str(path)] + extra[1:]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [
@@ -200,6 +221,11 @@ def test_boolean_model_fields_exit_2(tmp_path, capsys, text):
     pytest.param('{"p": 3, "edges": [{"i": 0, "j": 1, "theta": 1%s}]}'
                  % ("0" * 399), id="400-digit-theta"),
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested-past-recursion"),
+    # Each coupling is finite, but energies reach 2e308: the enumerated
+    # law would be all NaN.
+    pytest.param('{"p": 3, "edges": [{"i": 0, "j": 1, "theta": 1e308}, '
+                 '{"i": 1, "j": 2, "theta": 1e308}]}',
+                 id="coupling-sum-past-float64"),
 ])
 def test_malformed_model_json_exits_2(tmp_path, capsys, text):
     path = tmp_path / "model.json"

@@ -7,7 +7,7 @@ from isinglearn import (InputError, IsingModel, SampleSet, empirical_covariance,
                         remainder_kernel, remainder_kernel_floor, sample_exact,
                         sampler, screening_gradient, screening_value,
                         taylor_remainder)
-from isinglearn.screening import evaluate_rows, tally_design
+from isinglearn.screening import LINEAR_FORM_LIMIT, evaluate_rows, tally_design
 
 
 def _brute_force(samples: SampleSet, u: int, theta: np.ndarray):
@@ -106,6 +106,10 @@ def test_counts_construction_rejects_bad_input():
     good = np.array([[1, -1]], dtype=np.int8)
     with pytest.raises(InputError):
         node_view_from_counts(0, np.array([1, 2]), good, np.array([-1]))
+    # others must be every vertex but u, ascending.
+    for u, others in ((0, [2, 1]), (1, [1, 2]), (0, [1, 3]), (3, [0, 1])):
+        with pytest.raises(InputError):
+            node_view_from_counts(u, np.array(others), good, np.array([3]))
 
 
 def test_objective_is_convex_along_segments():
@@ -189,10 +193,12 @@ def test_saturation_flag_and_clamping():
 
 
 @pytest.mark.parametrize("p", [5, 70])
-def test_evaluate_rows_matches_node_views(p):
-    # One pass over the tally's design gives every vertex the value,
-    # gradient and saturation flag its own node view gives; row 0 is
-    # pushed past the clamp. p = 70 takes the tally's row branch.
+def test_evaluate_rows_matches_per_sample_formula(p):
+    # One pass over the tally's design gives every vertex the value and
+    # gradient of the per-sample formula, and flags exactly the rows
+    # whose per-sample linear forms pass the clamp; row 0 is pushed past
+    # it, where the formula overflows. p = 70 takes the tally's row
+    # branch.
     rng = np.random.default_rng(p)
     data = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3000, p))
     s = SampleSet(p, len(data), np.vstack([data[:2000], -data[:1000]]))
@@ -202,14 +208,18 @@ def test_evaluate_rows_matches_node_views(p):
     values, grads, saturated = evaluate_rows(tally_design(s), np.arange(p),
                                              theta)
     for u in range(p):
-        ref = evaluate(node_view(s, u), np.delete(theta[u], u))
-        assert values[u] == pytest.approx(ref.value, rel=1e-12)
-        np.testing.assert_allclose(np.delete(grads[u], u), ref.gradient,
-                                   rtol=1e-11, atol=1e-14 * abs(ref.value))
+        row = np.delete(theta[u], u)
+        g = s.data[:, np.delete(np.arange(p), u)] * s.data[:, [u]]
+        assert saturated[u] == (np.abs(g @ row).max() > LINEAR_FORM_LIMIT)
         assert grads[u, u] == 0.0
-        assert saturated[u] == ref.saturated
+        if saturated[u]:
+            assert np.isfinite(values[u]) and np.all(np.isfinite(grads[u]))
+            continue
+        val_ref, grad_ref = _brute_force(s, u, row)
+        assert values[u] == pytest.approx(val_ref, rel=1e-12)
+        np.testing.assert_allclose(np.delete(grads[u], u), grad_ref,
+                                   rtol=1e-11, atol=1e-14 * val_ref)
     assert saturated[0] and not saturated[1:].any()
-    assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
 
 
 def test_dimension_mismatch_rejected():
@@ -260,9 +270,11 @@ def test_tally_views_match_per_vertex_dedup(p):
         assert view.n == s.n
         assert np.array_equal(view.others, others)
         assert view.basis.dtype == rows.dtype
-        assert np.array_equal(view.basis, rows)
         assert view.weights.dtype == weights.dtype
-        assert np.array_equal(view.weights, weights)
+        # The same rows and weights exactly, in whatever row order.
+        got, want = np.lexsort(view.basis.T), np.lexsort(rows.T)
+        assert np.array_equal(view.basis[got], rows[want])
+        assert np.array_equal(view.weights[got], weights[want])
 
 
 def test_configuration_and_its_flip_share_a_row():
