@@ -19,8 +19,9 @@ samples = sample_exact(model, 100000, seed=11)
 u = 4
 view = node_view(samples, u)
 
-# The view reads the sample set's tally of distinct configurations up to
-# the global flip, so evaluations cost O(distinct configurations), not
+# The view is the sample set's tally design (its distinct configurations
+# up to the global flip, with counts, shared by every vertex) plus the
+# focal vertex, so evaluations cost O(distinct configurations), not
 # O(n). For p=9 there are at most 256 of them.
 print(f"focal vertex {u}: {samples.n} samples collapsed to "
       f"{view.basis.shape[0]} distinct configurations")

@@ -20,8 +20,7 @@ from .sampler import (RNG_ALGORITHM, GlauberConfig, SampleSet,
                       empirical_covariance, read_samples_binary,
                       read_samples_text, sample_exact, sample_glauber,
                       write_samples_binary, write_samples_text)
-from .screening import (NodeView, evaluate, node_view,
-                        node_view_from_counts, remainder_kernel,
+from .screening import (NodeView, evaluate, node_view, remainder_kernel,
                         remainder_kernel_floor, screening_gradient,
                         screening_value, taylor_remainder)
 from .solver import (SolveReport, SolverConfig, kkt_residual, minimize,

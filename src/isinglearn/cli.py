@@ -18,8 +18,9 @@ import sys
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .estimator import (edges_from_estimates, fit_all_nodes, fit_node,
-                        lambda_schedule, result_to_json)
+from .estimator import (_check_threshold, edges_from_estimates,
+                        fit_all_nodes, fit_node, lambda_schedule,
+                        result_to_json)
 from .experiments import (ExperimentManifest, manifest_from_dict,
                           run_error_curve, run_nmin_search)
 from .model import (load_model, make_grid_model, make_random_model,
@@ -193,6 +194,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    _check_threshold(args.threshold)
     samples = _read_samples(args.samples)
     lam = args.lam
     if lam is None:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError
 from .model import IsingModel
 from .sampler import SampleSet
-from .screening import node_view, tally_design
+from .screening import node_view
 from .solver import SolveReport, SolverConfig, minimize, minimize_rows
 
 
@@ -67,8 +67,8 @@ def lambda_schedule(p: int, n: int, epsilon: float, mode: str = "structure") -> 
 
 
 def _with_penalty(lam: float, config: SolverConfig | None) -> SolverConfig:
-    if not lam >= 0:  # NaN fails too
-        raise InputError("lam must be >= 0")
+    if not 0 <= lam < math.inf:  # NaN fails too
+        raise InputError("lam must be finite and >= 0")
     return replace(config if config is not None else SolverConfig(), lam=lam)
 
 
@@ -89,15 +89,19 @@ def fit_all_nodes(samples: SampleSet, lam: float,
     if samples.p < 2:
         raise InputError("need p >= 2 for a nonempty view")
     nodes = range(samples.p)
-    reports = minimize_rows(tally_design(samples), nodes, cfg)
+    reports = minimize_rows(samples.tally, nodes, cfg)
     return [NodeEstimate(u, rep.solution, lam, rep)
             for u, rep in zip(nodes, reports)]
 
 
-def edges_from_estimates(estimates: list[NodeEstimate], alpha_threshold: float,
-                         p: int) -> EdgeSet:
+def _check_threshold(alpha_threshold: float):
     if not alpha_threshold > 0:  # NaN fails too
         raise InputError("alpha_threshold must be positive")
+
+
+def edges_from_estimates(estimates: list[NodeEstimate], alpha_threshold: float,
+                         p: int) -> EdgeSet:
+    _check_threshold(alpha_threshold)
     if len(estimates) != p or any(est.u != u for u, est in enumerate(estimates)):
         raise InputError("need one estimate per vertex, ordered by vertex id")
     theta = np.zeros((p, p))

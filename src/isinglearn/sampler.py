@@ -9,6 +9,12 @@ no edge, so this is exactly the single-site scan taken class by class
 deterministic given a seed; all randomness comes from numpy's PCG64
 generator (RNG_ALGORITHM below names it for output metadata).
 
+A sample set is read through its tally (SampleSet.tally): a Design,
+the distinct configurations up to the global flip as int8 columns with
+their counts. Designs built from weights over configuration indices
+(multinomial counts, exact probabilities) have the same form, so every
+loss and second moment reads one kind of data.
+
 Sample sets travel either as text ("p n" header then one row of
 +1/-1 tokens per sample) or as a packed binary stream (magic "ISNG",
 little-endian u32 p and u64 n, then row-major bits, bit value 1
@@ -17,6 +23,7 @@ meaning spin +1, LSB-first within each byte).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -32,40 +39,72 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 _MAGIC = b"ISNG"
 
-class ConfigurationTally(NamedTuple):
-    """The distinct configurations of a sample set up to the global spin
-    flip, each taken with spin 0 at +1, and how often each occurs.
+class Design(NamedTuple):
+    """Weighted configurations, the data every loss and moment reads:
+    spins is p x m int8 (+/-1), one configuration per column; weights
+    are their counts (or probabilities) scaled by a power of two, and
+    total is the sample count (or 1) scaled the same way."""
 
-    For p <= 64 the configurations are int64 codes, ascending, with bit
-    i-1 set iff spin i is +1 (spin 0 is implied), and configs is None.
-    Above that, configs holds them as distinct int8 rows and codes is
-    None. counts aligns with whichever is present.
-    """
-
-    codes: np.ndarray | None
-    configs: np.ndarray | None
-    counts: np.ndarray
+    spins: np.ndarray
+    weights: np.ndarray
+    total: float
 
 
-def tally_configurations(data: np.ndarray) -> ConfigurationTally:
-    """Count the distinct rows of an n x p -1/+1 matrix up to the global
-    flip, without materializing anything wider than one code per row
-    for p <= 64."""
-    p = data.shape[1]
-    if p <= 64:
-        codes = np.zeros(data.shape[0], dtype=np.int64)
-        for i in range(1, p):
-            codes |= (data[:, i] == data[:, 0]).astype(np.int64) << (i - 1)
-        if p - 1 <= 20:
-            full = np.bincount(codes, minlength=1 << (p - 1))
-            codes = np.flatnonzero(full)
-            counts = full[codes]
-        else:
-            codes, counts = np.unique(codes, return_counts=True)
-        return ConfigurationTally(codes, None, counts)
-    configs, counts = np.unique(data * data[:, :1], axis=0,
-                                return_counts=True)
-    return ConfigurationTally(None, configs, counts)
+def _design(spins: np.ndarray, weights: np.ndarray, total: float) -> Design:
+    # Scaling by the power of two above total is exact, so a loss at
+    # theta = 0 comes out exactly 1, and keeps the weights' sum below 1,
+    # so terms clamped at exp(LINEAR_FORM_LIMIT) cannot overflow it.
+    scale = 0.5 ** math.frexp(total)[1]
+    return Design(spins, weights * scale, total * scale)
+
+
+def _indexed_design(indices, weights, p: int, total: float) -> Design:
+    """The configurations with the given indices, one column each, with
+    their weights: tally codes, multinomial counts or exact
+    probabilities over the 2^p indices."""
+    spins = np.ascontiguousarray(configurations_from_indices(indices, p).T)
+    return _design(spins, weights, total)
+
+
+def tally_configurations(data: np.ndarray) -> Design:
+    """The distinct rows of an n x p -1/+1 matrix up to the global flip,
+    each taken with spin 0 at +1 (ascending by index for p <= 64,
+    lexicographically above), weighted by their counts. Up to p = 64
+    nothing wider than one code per row is materialized."""
+    n, p = data.shape
+    if p > 64:
+        configs, counts = np.unique(data * data[:, :1], axis=0,
+                                    return_counts=True)
+        return _design(np.ascontiguousarray(configs.T), counts, n)
+    # Bit i-1 of a code is set iff spin i equals spin 0.
+    codes = np.zeros(n, dtype=np.int64)
+    for i in range(1, p):
+        codes |= (data[:, i] == data[:, 0]).astype(np.int64) << (i - 1)
+    if p - 1 <= 20:
+        full = np.bincount(codes, minlength=1 << (p - 1))
+        codes = np.flatnonzero(full)
+        counts = full[codes]
+    else:
+        codes, counts = np.unique(codes, return_counts=True)
+    # As an index, with spin 0 at +1 in bit 0.
+    indices = (codes.astype(np.uint64) << np.uint64(1)) | np.uint64(1)
+    return _indexed_design(indices, counts, p, n)
+
+
+def _second_moments(designs, exclude: int) -> np.ndarray:
+    """sum_k w_k sigma_i sigma_j / total over the vertices != exclude,
+    added up over the designs. Integer weights sum exactly, so a
+    tally's moments are the correctly rounded sample averages."""
+    acc = 0.0
+    for spins, weights, total in designs:
+        others = np.delete(spins, exclude, axis=0)
+        part = 0.0
+        step = max(1, (1 << 22) // max(others.shape[0], 1))
+        for lo in range(0, others.shape[1], step):
+            block = others[:, lo:lo + step].astype(np.float64)
+            part = part + (block * weights[lo:lo + step]) @ block.T
+        acc = acc + part / total
+    return acc
 
 
 @dataclass
@@ -89,9 +128,9 @@ class SampleSet:
             raise InputError("sample entries must be -1 or +1")
 
     @cached_property
-    def tally(self) -> ConfigurationTally:
+    def tally(self) -> Design:
         """Distinct configurations up to the global flip, with counts;
-        every node view of this sample set is read from it."""
+        every loss and moment of this sample set reads it."""
         return tally_configurations(self.data)
 
 
@@ -202,18 +241,11 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
 
 def empirical_covariance(samples: SampleSet, exclude: int) -> np.ndarray:
     """Empirical second-moment matrix (1/n) sum_k sigma_i sigma_j over
-    the vertices != exclude. Symmetric, unit diagonal, entries in
-    [-1, 1]."""
+    the vertices != exclude, read off the tally. Symmetric, unit
+    diagonal, entries in [-1, 1]."""
     if not 0 <= exclude < samples.p:
         raise InputError(f"vertex {exclude} out of range for p={samples.p}")
-    others = np.delete(np.arange(samples.p), exclude)
-    k = others.size
-    acc = np.zeros((k, k))
-    step = max(1, (1 << 22) // max(k, 1))
-    for start in range(0, samples.n, step):
-        block = samples.data[start:start + step][:, others].astype(np.float64)
-        acc += block.T @ block
-    return acc / samples.n
+    return _second_moments([samples.tally], exclude)
 
 
 def write_samples_text(samples: SampleSet, path):

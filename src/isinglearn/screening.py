@@ -12,15 +12,17 @@ global flip and their counts: the sample set's one tally
 (SampleSet.tally). Evaluation cost is then independent of n once n
 exceeds the number of distinct configurations.
 
-With C those configurations (spin 0 at +1) as rows, w their frequencies
-and Theta a p x p coupling matrix with a zero diagonal, vertex u's
-linear forms are z_u = C[:, u] * (C @ Theta[u]), its loss w @ exp(-z_u)
-and its gradient -(w exp(-z_u) C[:, u]) @ C with entry u masked. A
-Design holds C as int8 with w, built once per sample set
-(tally_design), and evaluate_rows computes any set of rows of Theta in
-one pass over it, a block of configurations at a time. A NodeView is
-that design plus its focal vertex, so one vertex's loss is the one-row
-evaluate_rows call.
+With C those configurations as rows, w their frequencies and Theta a
+p x p coupling matrix with a zero diagonal, vertex u's linear forms are
+z_u = C[:, u] * (C @ Theta[u]), its loss w @ exp(-z_u) and its gradient
+-(w exp(-z_u) C[:, u]) @ C with entry u masked. A sampler.Design holds
+C as int8 with w; SampleSet.tally is the sample set's one design, and
+multinomial counts or exact probabilities over configuration indices
+give designs of the same kind, so evaluate_rows, which computes any
+set of rows of Theta in one pass over a design, a block of
+configurations at a time, is the one evaluator for all of them. A
+NodeView is a design plus its focal vertex, so one vertex's loss is the
+one-row evaluate_rows call.
 
 Linear forms are clamped to +/-LINEAR_FORM_LIMIT before
 exponentiation (exp overflows near 710); evaluations report whether
@@ -29,14 +31,13 @@ the clamp fired so callers can flag saturation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
-from .sampler import SampleSet
+from .sampler import Design, SampleSet
 
 LINEAR_FORM_LIMIT = 700.0
 
@@ -45,42 +46,11 @@ LINEAR_FORM_LIMIT = 700.0
 _BLOCK_ENTRIES = 1 << 15
 
 
-class Design(NamedTuple):
-    """Distinct configurations and their weights, the data every
-    vertex's loss reads: spins is p x m int8 (+/-1), one configuration
-    per column; weights are their counts scaled by a power of two, and
-    total is the sample count scaled the same way (their sum)."""
-
-    spins: np.ndarray
-    weights: np.ndarray
-    total: float
-
-
-def _design(spins: np.ndarray, counts: np.ndarray, n: int) -> Design:
-    # Scaling by the power of two above n is exact, so the value at
-    # theta = 0 comes out exactly 1, and keeps the weights' sum below 1,
-    # so terms clamped at exp(LINEAR_FORM_LIMIT) cannot overflow it.
-    scale = 0.5 ** math.frexp(n)[1]
-    return Design(spins, counts * scale, n * scale)
-
-
-def tally_design(samples: SampleSet) -> Design:
-    """The sample set's tally as a design: each distinct configuration
-    up to the global flip, spin 0 at +1, with its count."""
-    tally = samples.tally
-    if tally.codes is None:
-        spins = np.ascontiguousarray(tally.configs.T)
-    else:
-        spins = np.ones((samples.p, tally.codes.size), dtype=np.int8)
-        for i in range(1, samples.p):
-            spins[i] = ((tally.codes >> (i - 1)) & 1) * 2 - 1
-    return _design(spins, tally.counts.astype(np.float64), samples.n)
-
-
 @dataclass
 class NodeView:
-    """Focal vertex u's view of a sample set: the design its loss reads
-    and the underlying sample count n.
+    """Focal vertex u's view of weighted configurations: the design its
+    loss reads (a sample set's tally, or a design built from counts over
+    configuration indices) and the underlying sample count n.
 
     others (the ascending vertices != u), basis (the product rows
     sigma_u * sigma_others of the design's configurations, float64, in
@@ -112,33 +82,7 @@ def node_view(samples: SampleSet, u: int) -> NodeView:
         raise InputError(f"vertex {u} out of range for p={samples.p}")
     if samples.p < 2:
         raise InputError("need p >= 2 for a nonempty view")
-    return NodeView(tally_design(samples), u, samples.n)
-
-
-def node_view_from_counts(u: int, others, rows, counts) -> NodeView:
-    """Build a view from product rows and their counts, for callers that
-    tally configurations instead of materializing samples: a product
-    row is the configuration with sigma_u = +1."""
-    u = int(u)
-    others = np.asarray(others, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if not (0 <= u <= others.size and np.array_equal(
-            others, np.delete(np.arange(others.size + 1), u))):
-        raise InputError("others must list every vertex but u, ascending")
-    if rows.ndim != 2 or rows.shape[0] != counts.shape[0]:
-        raise InputError("rows and counts must align")
-    if rows.shape[1] != others.size:
-        raise InputError("row width must match len(others)")
-    if np.any(counts < 0) or counts.sum() < 1:
-        raise InputError("counts must be nonnegative with positive total")
-    if not np.all(np.abs(rows) == 1.0):
-        raise InputError("product rows must be -1/+1")
-    keep = counts > 0
-    spins = np.ones((others.size + 1, int(keep.sum())), dtype=np.int8)
-    spins[others] = rows[keep].T
-    n = int(counts.sum())
-    return NodeView(_design(spins, counts[keep].astype(np.float64), n), u, n)
+    return NodeView(samples.tally, u, samples.n)
 
 
 def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,

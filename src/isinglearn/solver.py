@@ -33,12 +33,14 @@ Convergence is declared per row on the subgradient optimality residual
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .screening import Design, NodeView, evaluate_rows, focal_row
+from .sampler import Design
+from .screening import NodeView, evaluate_rows, focal_row
 
 _INITIAL_STEP = 1.0
 _BACKTRACK_SHRINK = 0.5
@@ -55,9 +57,10 @@ class SolverConfig:
     track_history: bool = False
 
     def __post_init__(self):
-        # Written so that NaN fails too.
-        if not self.lam >= 0:
-            raise InputError("lam must be >= 0")
+        # Written so that NaN fails too; an infinite penalty would make
+        # the objective inf * 0 at every zero coordinate.
+        if not 0 <= self.lam < math.inf:
+            raise InputError("lam must be finite and >= 0")
         if not self.kkt_tolerance > 0:
             raise InputError("kkt_tolerance must be positive")
         if self.max_iterations < 1:

@@ -24,6 +24,14 @@ finite checks against exact enumeration or seeded Monte-Carlo:
   least exp(-2*beta*d)/(d+1), and its empirical version concentrates
   around it.
 
+The oracles read their data as designs (sampler.Design), the same
+weighted configurations a sample set's tally is: the exact distribution
+in _CHUNK-sized pieces of configuration indices, and each multinomial
+draw as one design of its counts. The screening identities are the
+population loss itself, its gradient at theta* (mean 0) and its value
+at 2 theta* (second moment 1), and every spin covariance is one
+second-moment sum over designs.
+
 verification_report runs the suite on one model and returns one entry
 per oracle with the measured statistic, the bound, and pass/fail.
 """
@@ -39,10 +47,9 @@ import numpy as np
 
 from .errors import InputError
 from .estimator import lambda_schedule
-from .model import (IsingModel, beta_d, configurations_from_indices,
-                    exact_distribution)
-from .sampler import RNG_ALGORITHM
-from .screening import (NodeView, node_view_from_counts, remainder_kernel,
+from .model import IsingModel, beta_d, exact_distribution
+from .sampler import RNG_ALGORITHM, _indexed_design, _second_moments
+from .screening import (NodeView, evaluate_rows, remainder_kernel,
                         remainder_kernel_floor, screening_gradient,
                         taylor_remainder)
 
@@ -197,46 +204,38 @@ def support_bound(model: IsingModel) -> float:
     return math.exp(beta_d(model))
 
 
+def _enumeration_designs(model: IsingModel):
+    """The exact distribution as designs of _CHUNK configurations each,
+    weighted by their probabilities, so enumeration stays chunked."""
+    probs = exact_distribution(model)
+    for start in range(0, probs.size, _CHUNK):
+        stop = min(start + _CHUNK, probs.size)
+        yield _indexed_design(np.arange(start, stop, dtype=np.uint64),
+                              probs[start:stop], model.p, 1.0)
+
+
 def population_gradient_moments(model: IsingModel, u: int):
     """Exact (enumerated) mean and second moment of the per-sample
     gradient terms at the true couplings; mean is 0 and second moment
-    1 componentwise, which is what the screening construction is for."""
+    1 componentwise, which is what the screening construction is for.
+    Both are the population loss: the mean is its gradient at theta*,
+    the second moment its value at 2 theta*."""
     model._check_vertex(u)
-    probs = exact_distribution(model)
-    others = np.delete(np.arange(model.p), u)
-    row = model.coupling_row(u)
-    k = others.size
-    mean = np.zeros(k)
-    second = 0.0
-    total = 1 << model.p
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        configs = configurations_from_indices(np.arange(start, stop, dtype=np.uint64),
-                                              model.p)
-        su = configs[:, u].astype(np.float64)
-        g = configs[:, others].astype(np.float64) * su[:, None]
-        w = probs[start:stop] * np.exp(-(g @ row))
-        mean += -(w @ g)
-        second += float(w @ np.exp(-(g @ row)))
-    return mean, np.full(k, second)
+    row = np.insert(model.coupling_row(u), u, 0.0)
+    mean, second = 0.0, 0.0
+    for design in _enumeration_designs(model):
+        values, grads, _ = evaluate_rows(design, [u, u],
+                                         np.stack([row, 2.0 * row]))
+        mean = mean + grads[0]
+        second += values[1]
+    return np.delete(mean, u), np.full(model.p - 1, second)
 
 
 def exact_pair_covariance(model: IsingModel, exclude: int) -> np.ndarray:
     """Population second-moment matrix of the spins other than
     exclude, by enumeration."""
     model._check_vertex(exclude)
-    probs = exact_distribution(model)
-    others = np.delete(np.arange(model.p), exclude)
-    k = others.size
-    acc = np.zeros((k, k))
-    total = 1 << model.p
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        configs = configurations_from_indices(np.arange(start, stop, dtype=np.uint64),
-                                              model.p)
-        block = configs[:, others].astype(np.float64)
-        acc += (block * probs[start:stop, None]).T @ block
-    return acc
+    return _second_moments(_enumeration_designs(model), exclude)
 
 
 class CovarianceFloor(NamedTuple):
@@ -307,14 +306,6 @@ def restricted_convexity_check(view: NodeView, model: IsingModel, u: int,
                      rsc_sample_bound(params, 0.05), passed)
 
 
-def _multinomial_node_view(model: IsingModel, u: int, counts: np.ndarray) -> NodeView:
-    nz = np.nonzero(counts)[0]
-    configs = configurations_from_indices(nz.astype(np.uint64), model.p)
-    others = np.delete(np.arange(model.p), u)
-    rows = configs[:, others] * configs[:, [u]]
-    return node_view_from_counts(u, others, rows, counts[nz])
-
-
 def _entry(name, passed, statistic, bound, **extra):
     out = {"oracle": name, "passed": bool(passed),
            "statistic": float(statistic), "bound": float(bound)}
@@ -337,6 +328,12 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     rng = np.random.default_rng(seed)
     entries = []
 
+    def draw(size: int):
+        """One multinomial draw of size samples, as a design."""
+        counts = rng.multinomial(size, probs)
+        nz = np.flatnonzero(counts)
+        return _indexed_design(nz, counts[nz], model.p, size)
+
     # Exact screening identities over every focal vertex.
     worst_mean = 0.0
     worst_second = 0.0
@@ -350,13 +347,11 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
                           worst_second, 1e-12))
 
     # Hard per-sample gradient bound on one sampled set.
-    counts = rng.multinomial(n, probs)
+    design = draw(n)
     cap = support_bound(model)
     worst_x = 0.0
-    views = {}
     for u in range(model.p):
-        views[u] = _multinomial_node_view(model, u, counts)
-        z = views[u].basis @ model.coupling_row(u)
+        z = NodeView(design, u, n).basis @ model.coupling_row(u)
         worst_x = max(worst_x, float(np.exp(-z).max()))
     entries.append(_entry("support_bound", worst_x <= cap * (1.0 + 1e-12),
                           worst_x, cap, n=n))
@@ -373,7 +368,7 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
 
     # Remainder dominates the empirical quadratic, at the sampled set.
     u0 = 0
-    view0 = views[u0]
+    view0 = NodeView(design, u0, n)
     theta0 = model.coupling_row(u0)
     bd = params.beta_d
     worst_remainder = math.inf
@@ -398,7 +393,6 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
                           worst_gap, 0.0))
 
     # Gradient sup-norm concentration at the truth (fixed focal vertex).
-    others0 = np.delete(np.arange(model.p), u0)
     grad_bound = gradient_sup_bound(model.p, n, epsilon)
     lam = lambda_schedule(model.p, n, epsilon, mode="node")
     grad_exceed = 0
@@ -407,18 +401,14 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     delta_cov = math.sqrt(2.0 / n * math.log(model.p ** 2 / epsilon))
     h_exact = exact_pair_covariance(model, u0)
     for _ in range(sets):
-        counts_s = rng.multinomial(n, probs)
-        view_s = _multinomial_node_view(model, u0, counts_s)
-        g = screening_gradient(view_s, theta0)
+        design_s = draw(n)
+        g = screening_gradient(NodeView(design_s, u0, n), theta0)
         sup = float(np.abs(g).max())
         if sup > grad_bound:
             grad_exceed += 1
         if 2.0 * sup > lam:
             penalty_exceed += 1
-        nz = np.nonzero(counts_s)[0]
-        configs = configurations_from_indices(nz.astype(np.uint64), model.p)
-        block = configs[:, others0].astype(np.float64)
-        h_emp = (block * (counts_s[nz] / n)[:, None]).T @ block
+        h_emp = _second_moments([design_s], u0)
         if float(np.abs(h_emp - h_exact).max()) > delta_cov:
             cov_exceed += 1
 
@@ -436,8 +426,7 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
 
     # Restricted curvature at the sample size its guarantee asks for.
     n_rsc = int(math.ceil(rsc_sample_bound(params, 0.05)))
-    counts_rsc = rng.multinomial(n_rsc, probs)
-    view_rsc = _multinomial_node_view(model, u0, counts_rsc)
+    view_rsc = NodeView(draw(n_rsc), u0, n_rsc)
     rsc = restricted_convexity_check(view_rsc, model, u0, rsc_trials,
                                      int(rng.integers(1 << 31)))
     entries.append(_entry("restricted_convexity", rsc.passed, rsc.worst_ratio,

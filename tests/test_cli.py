@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import isinglearn
-from isinglearn import load_model, read_samples_text
+from isinglearn import cli, load_model, read_samples_text
 from isinglearn.cli import main
 
 
@@ -153,11 +153,27 @@ def test_input_errors_exit_2(tmp_path, capsys):
     ["fit", "--node", "0", "--lambda", "nan"],
     ["learn", "--threshold", "nan"],
     ["learn", "--threshold", "0.5", "--kkt-tol", "nan"],
+    ["fit", "--node", "0", "--lambda", "inf"],
+    ["learn", "--threshold", "0.5", "--lambda", "inf"],
 ])
 def test_nan_knobs_exit_2(tmp_path, capsys, extra):
     path = tmp_path / "samples.txt"
     path.write_text("2 2\n1 1\n1 -1\n")
     assert main(extra[:1] + ["--samples", str(path)] + extra[1:]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+def test_learn_checks_threshold_before_fitting(tmp_path, capsys, monkeypatch,
+                                               threshold):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("learn fitted before checking --threshold")
+
+    monkeypatch.setattr(cli, "fit_all_nodes", no_fit)
+    path = tmp_path / "samples.txt"
+    path.write_text("2 2\n1 1\n1 -1\n")
+    assert main(["learn", "--samples", str(path),
+                 "--threshold", threshold]) == 2
     assert "input error" in capsys.readouterr().err
 
 

@@ -126,6 +126,10 @@ def test_empirical_covariance_properties():
     assert np.array_equal(h, h.T)
     assert np.all(np.diag(h) == 1.0)
     assert np.all(np.abs(h) <= 1.0 + 1e-15)
+    # Read off the tally, it is the per-sample average bit for bit: both
+    # are the correctly rounded integer sums over n.
+    block = np.delete(s.data, 4, axis=1).astype(np.float64)
+    assert np.array_equal(h, block.T @ block / s.n)
     with pytest.raises(InputError):
         empirical_covariance(s, exclude=9)
 

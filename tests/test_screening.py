@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from isinglearn import (InputError, IsingModel, SampleSet, empirical_covariance,
-                        evaluate, fit_all_nodes, lambda_schedule,
-                        make_grid_model, node_view, node_view_from_counts,
-                        remainder_kernel, remainder_kernel_floor, sample_exact,
-                        sampler, screening_gradient, screening_value,
-                        taylor_remainder)
-from isinglearn.screening import LINEAR_FORM_LIMIT, evaluate_rows, tally_design
+                        evaluate, exact_distribution, fit_all_nodes,
+                        lambda_schedule, make_grid_model, make_random_model,
+                        node_view, remainder_kernel, remainder_kernel_floor,
+                        sample_exact, sampler, screening_gradient,
+                        screening_value, taylor_remainder)
+from isinglearn.model import configurations_from_indices
+from isinglearn.screening import LINEAR_FORM_LIMIT, evaluate_rows
 
 
 def _brute_force(samples: SampleSet, u: int, theta: np.ndarray):
@@ -84,32 +85,37 @@ def test_row_deduplication_is_lossless():
                               screening_gradient(view, theta))
 
 
-def test_counts_construction_matches_sample_construction():
-    s = sample_exact(make_grid_model(2, 0.5), 2000, seed=12)
-    view = node_view(s, 1)
-    others = np.delete(np.arange(4), 1)
-    g = s.data[:, others] * s.data[:, [1]]
-    rows, counts = np.unique(g, axis=0, return_counts=True)
-    rebuilt = node_view_from_counts(1, others, rows, counts)
-    theta = np.array([0.2, -0.1, 0.4])
-    assert screening_value(rebuilt, theta) == pytest.approx(
-        screening_value(view, theta), rel=1e-14)
-    np.testing.assert_allclose(screening_gradient(rebuilt, theta),
-                               screening_gradient(view, theta),
-                               rtol=1e-14, atol=1e-16)
+@pytest.mark.parametrize("p", [4, 9])
+def test_count_design_matches_tally_of_the_same_samples(p):
+    # Multinomial counts over the 2^p indices, as one design, against
+    # the tally of the samples they stand for: the same losses up to
+    # summation order, and second moments bit for bit (integer counts
+    # sum exactly).
+    rng = np.random.default_rng(p)
+    probs = exact_distribution(make_random_model(p, 0.5, 0.2, 0.6, seed=p))
+    n = 3000
+    counts = rng.multinomial(n, probs)
+    nz = np.flatnonzero(counts)
+    design = sampler._indexed_design(nz, counts[nz], p, n)
+    data = configurations_from_indices(np.repeat(np.arange(1 << p), counts), p)
+    tally = SampleSet(p, n, data).tally
+    theta = rng.normal(scale=0.4, size=(p, p))
+    np.fill_diagonal(theta, 0.0)
+    rows = np.arange(p)
+    got_v, got_g, _ = evaluate_rows(design, rows, theta)
+    want_v, want_g, _ = evaluate_rows(tally, rows, theta)
+    np.testing.assert_allclose(got_v, want_v, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got_g, want_g, rtol=1e-14,
+                               atol=1e-14 * np.abs(want_g).max())
+    for u in range(p):
+        assert np.array_equal(sampler._second_moments([design], u),
+                              sampler._second_moments([tally], u))
 
 
-def test_counts_construction_rejects_bad_input():
-    rows = np.array([[1, 2]], dtype=np.int8)
-    with pytest.raises(InputError):
-        node_view_from_counts(0, np.array([1, 2]), rows, np.array([3]))
-    good = np.array([[1, -1]], dtype=np.int8)
-    with pytest.raises(InputError):
-        node_view_from_counts(0, np.array([1, 2]), good, np.array([-1]))
-    # others must be every vertex but u, ascending.
-    for u, others in ((0, [2, 1]), (1, [1, 2]), (0, [1, 3]), (3, [0, 1])):
-        with pytest.raises(InputError):
-            node_view_from_counts(u, np.array(others), good, np.array([3]))
+def test_views_share_the_sample_sets_design():
+    s = sample_exact(make_grid_model(2, 0.5), 200, seed=3)
+    assert node_view(s, 0).design is node_view(s, 1).design
+    assert node_view(s, 0).design is s.tally
 
 
 def test_objective_is_convex_along_segments():
@@ -205,7 +211,7 @@ def test_evaluate_rows_matches_per_sample_formula(p):
     theta = rng.normal(scale=0.2, size=(p, p))
     theta[0, 1] = 800.0
     np.fill_diagonal(theta, 0.0)
-    values, grads, saturated = evaluate_rows(tally_design(s), np.arange(p),
+    values, grads, saturated = evaluate_rows(s.tally, np.arange(p),
                                              theta)
     for u in range(p):
         row = np.delete(theta[u], u)

@@ -6,7 +6,6 @@ from isinglearn import (InputError, IsingModel, SampleSet, SolverConfig,
                         kkt_residual, make_grid_model, minimize, node_view,
                         sample_exact, screening_gradient, screening_value,
                         soft_threshold)
-from isinglearn.screening import tally_design
 from isinglearn.solver import minimize_rows
 
 
@@ -113,6 +112,8 @@ def test_config_validation():
     with pytest.raises(InputError):
         SolverConfig(lam=-0.1)
     with pytest.raises(InputError):
+        SolverConfig(lam=float("inf"))
+    with pytest.raises(InputError):
         SolverConfig(kkt_tolerance=0.0)
     with pytest.raises(InputError):
         SolverConfig(max_iterations=0)
@@ -132,7 +133,7 @@ def test_saturation_is_flagged_per_row():
     data[:, 1] = data[:, 0]
     x0 = np.zeros((9, 9))
     x0[0, 1] = 800.0
-    reports = minimize_rows(tally_design(SampleSet(9, 2000, data)), range(9),
+    reports = minimize_rows(SampleSet(9, 2000, data).tally, range(9),
                             SolverConfig(lam=0.05, max_iterations=1), x0)
     assert [r.saturated for r in reports] == [u == 0 for u in range(9)]
     assert all(np.isfinite(r.objective_value) for r in reports)

@@ -7,14 +7,16 @@ import pytest
 from isinglearn import (InputError, IsingModel, ModelParams,
                         covariance_concentration_bound, covariance_floor_check,
                         coupling_error_bound, coupling_error_sample_bound,
-                        exact_pair_covariance, gradient_sup_bound,
-                        make_grid_model, node_view, params_from_model,
+                        exact_distribution, exact_pair_covariance,
+                        gradient_sup_bound, make_grid_model,
+                        make_random_model, node_view, params_from_model,
                         population_gradient_moments, restricted_convexity_check,
                         rsc_sample_bound, sample_exact, sample_lower_bound,
                         sample_upper_bound_existence,
                         sample_upper_bound_existence_log2, structure_lnp_coefficient,
                         structure_sample_bound, support_bound,
                         verification_report)
+from isinglearn.model import configurations_from_indices
 
 # Reference values below were computed independently with 50-digit
 # arithmetic (mpmath) and frozen to 17 significant digits.
@@ -109,6 +111,35 @@ def test_population_gradient_identities():
             mean, second = population_gradient_moments(m, u)
             assert float(np.abs(mean).max()) <= 1e-12
             np.testing.assert_allclose(second, 1.0, rtol=1e-12)
+
+
+def _enumerated_moments(model, u):
+    """Reference: the per-sample gradient terms' mean and second moment
+    and the pair covariance excluding u, summed over every
+    configuration with its probability."""
+    configs = configurations_from_indices(np.arange(1 << model.p), model.p)
+    probs = exact_distribution(model)
+    others = np.delete(np.arange(model.p), u)
+    g = (configs[:, others] * configs[:, [u]]).astype(np.float64)
+    x = np.exp(-(g @ model.coupling_row(u)))
+    block = configs[:, others].astype(np.float64)
+    return (-((probs * x) @ g), float((probs * x) @ x),
+            (block * probs[:, None]).T @ block)
+
+
+@pytest.mark.parametrize("model", [
+    make_grid_model(2, 0.9),
+    IsingModel(5, {(0, 1): 1.2, (2, 3): -0.7}),
+    make_random_model(17, 0.3, 0.2, 0.5, seed=3),  # two enumeration chunks
+], ids=["grid2", "p5", "random17"])
+def test_population_moments_match_enumeration_formula(model):
+    for u in (0, model.p - 1):
+        mean_ref, second_ref, h_ref = _enumerated_moments(model, u)
+        mean, second = population_gradient_moments(model, u)
+        np.testing.assert_allclose(mean, mean_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(second, second_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(exact_pair_covariance(model, u), h_ref,
+                                   rtol=0, atol=1e-15)
 
 
 def test_exact_pair_covariance_structure():
