@@ -110,6 +110,29 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
         raise InputError(f"bad manifest: {exc}") from exc
 
 
+_INTEGER_FIELDS = ("side", "burn_in_sweeps", "thinning_sweeps",
+                   "max_iterations")
+_NUMBER_FIELDS = ("beta", "epsilon", "kkt_tolerance")
+
+
+def _check_run_fields(manifest: ExperimentManifest):
+    """Type-check the fields __post_init__ does not compare, once per
+    run: their values are checked where they are used, which a wrong
+    type would reach as a TypeError (or, for out, a file descriptor)."""
+    for name in _INTEGER_FIELDS + _NUMBER_FIELDS:
+        value = getattr(manifest, name)
+        integer = name in _INTEGER_FIELDS
+        kinds = (int, np.integer) if integer else (int, float, np.integer,
+                                                   np.floating)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            what = "an integer" if integer else "a number"
+            raise InputError(f"manifest field {name} takes {what}, "
+                             f"got {value!r}")
+    if manifest.out is not None and not isinstance(manifest.out, str):
+        raise InputError(f"manifest field out takes a path, "
+                         f"got {manifest.out!r}")
+
+
 def _derived_seed(root: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=root, spawn_key=tuple(key))
 
@@ -221,6 +244,7 @@ def _search_nmin(manifest: ExperimentManifest, model: IsingModel,
 def run_nmin_search(manifest: ExperimentManifest) -> list[dict]:
     """Execute an nmin manifest; returns one row dict per swept value
     and writes CSV to manifest.out when set."""
+    _check_run_fields(manifest)
     if manifest.kind == "nmin_vs_p":
         if not manifest.sides:
             raise InputError("nmin_vs_p needs a nonempty sides list")
@@ -257,6 +281,7 @@ def run_nmin_search(manifest: ExperimentManifest) -> list[dict]:
 def run_error_curve(manifest: ExperimentManifest) -> list[dict]:
     """Mean l2 coupling error over all nodes (and trials) at each n in
     manifest.ns, with the node-mode penalty schedule."""
+    _check_run_fields(manifest)
     if manifest.kind != "error_vs_n":
         raise InputError(f"run_error_curve cannot run kind {manifest.kind!r}")
     if not manifest.ns:

@@ -11,9 +11,11 @@ generator (RNG_ALGORITHM below names it for output metadata).
 
 A sample set is read through its tally (SampleSet.tally): a Design,
 the distinct configurations up to the global flip as int8 columns with
-their counts. Designs built from weights over configuration indices
-(multinomial counts, exact probabilities) have the same form, so every
-loss and second moment reads one kind of data.
+their counts. An exact draw keeps its uniforms, counts its tally from
+them against the model's CDF (enumerated once per model) and decodes
+its rows only when data is first read. Designs built from weights over
+configuration indices (multinomial counts, exact probabilities) have
+the same form, so every loss and second moment reads one kind of data.
 
 Sample sets travel either as text ("p n" header then one row of
 +1/-1 tokens per sample) or as a packed binary stream (magic "ISNG",
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .model import IsingModel, configurations_from_indices, exact_distribution
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -91,6 +93,17 @@ def tally_configurations(data: np.ndarray) -> Design:
     return _indexed_design(indices, counts, p, n)
 
 
+def _drawn_tally(cdf: np.ndarray, u: np.ndarray, p: int) -> Design:
+    """tally_configurations of the rows sample_exact decodes, without
+    decoding them: index k takes the uniforms in [cdf[k-1], cdf[k]),
+    and each odd index k is folded with its flip 2^p - 1 - k."""
+    counts = np.diff(np.searchsorted(np.sort(u), cdf), prepend=0)
+    folded = counts[1::2] + counts[-2::-2]
+    codes = np.flatnonzero(folded)
+    return _indexed_design(codes.astype(np.uint64) * 2 + 1, folded[codes],
+                           p, u.size)
+
+
 def _second_moments(designs, exclude: int) -> np.ndarray:
     """sum_k w_k sigma_i sigma_j / total over the vertices != exclude,
     added up over the designs. Integer weights sum exactly, so a
@@ -110,7 +123,9 @@ def _second_moments(designs, exclude: int) -> np.ndarray:
 @dataclass
 class SampleSet:
     """n configurations of p spins, one row each, entries -1/+1 (int8).
-    Treat instances as immutable: tally is computed once and kept."""
+    Treat instances as immutable: tally is computed once and kept. A
+    set drawn by sample_exact counts its tally from the model's CDF and
+    its uniforms, and decodes data on first access."""
 
     p: int
     n: int
@@ -127,10 +142,21 @@ class SampleSet:
         if not np.all(np.abs(self.data) == 1):
             raise InputError("sample entries must be -1 or +1")
 
+    def __getattr__(self, name):
+        # Reached only while data is unset, that is on a drawn set.
+        if name != "data" or "_draw" not in self.__dict__:
+            raise AttributeError(name)
+        cdf, u = self._draw
+        self.data = configurations_from_indices(
+            np.searchsorted(cdf, u, side="right"), self.p)
+        return self.data
+
     @cached_property
     def tally(self) -> Design:
         """Distinct configurations up to the global flip, with counts;
         every loss and moment of this sample set reads it."""
+        if "_draw" in self.__dict__:
+            return _drawn_tally(*self._draw, self.p)
         return tally_configurations(self.data)
 
 
@@ -152,19 +178,37 @@ class GlauberConfig:
             raise InputError("thinning_sweeps must be >= 1")
 
 
+def _check_memory(nbytes: int, what: str):
+    """Refuse a draw whose arrays would not fit in physical memory,
+    before any of them is allocated."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # not reported on this platform
+    if physical > 0 and nbytes > physical:
+        raise CapabilityError(f"{what} need {nbytes} bytes, more than the "
+                              f"{physical} bytes of physical memory")
+
+
 def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. configurations by inverse-CDF lookup on the full
-    enumerated distribution."""
+    enumerated distribution, whose CDF is built on the model's first
+    draw and kept on the model."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    probs = exact_distribution(model)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    data = configurations_from_indices(idx, model.p)
-    return SampleSet(model.p, n, data)
+    # The rows, once decoded, and the uniforms.
+    _check_memory(n * (model.p + 8), f"{n} exact samples of p={model.p}")
+    cdf = model.__dict__.get("_cdf")
+    if cdf is None:
+        cdf = np.cumsum(exact_distribution(model))
+        cdf[-1] = 1.0
+        cdf.flags.writeable = False
+        # Derived from the frozen fields, it lives and dies with the model.
+        object.__setattr__(model, "_cdf", cdf)
+    samples = SampleSet.__new__(SampleSet)
+    samples.p, samples.n = model.p, n
+    samples._draw = (cdf, np.random.default_rng(seed).random(n))
+    return samples
 
 
 def _colour_classes(model: IsingModel) -> list[np.ndarray]:
@@ -194,6 +238,8 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     p = model.p
+    # The samples, then the chain's state, initial spins and site order.
+    _check_memory(n * p + 32 * p, f"{n} Glauber samples of p={p}")
     rng = np.random.default_rng(config.seed)
     spins = rng.integers(0, 2, size=p) * 2 - 1
     classes = _colour_classes(model)

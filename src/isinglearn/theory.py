@@ -33,7 +33,9 @@ at 2 theta* (second moment 1), and every spin covariance is one
 second-moment sum over designs.
 
 verification_report runs the suite on one model and returns one entry
-per oracle with the measured statistic, the bound, and pass/fail.
+per oracle with the measured statistic, the bound, and pass/fail. It
+enumerates the distribution once and hands the probabilities to every
+exact oracle, which builds its designs from them a chunk at a time.
 """
 
 from __future__ import annotations
@@ -204,10 +206,10 @@ def support_bound(model: IsingModel) -> float:
     return math.exp(beta_d(model))
 
 
-def _enumeration_designs(model: IsingModel):
-    """The exact distribution as designs of _CHUNK configurations each,
-    weighted by their probabilities, so enumeration stays chunked."""
-    probs = exact_distribution(model)
+def _enumeration_designs(model: IsingModel, probs: np.ndarray):
+    """The exact distribution probs of model as designs of _CHUNK
+    configurations each, built one at a time, so no more than one
+    chunk's spins is held."""
     for start in range(0, probs.size, _CHUNK):
         stop = min(start + _CHUNK, probs.size)
         yield _indexed_design(np.arange(start, stop, dtype=np.uint64),
@@ -221,9 +223,13 @@ def population_gradient_moments(model: IsingModel, u: int):
     Both are the population loss: the mean is its gradient at theta*,
     the second moment its value at 2 theta*."""
     model._check_vertex(u)
+    return _gradient_moments(model, u, exact_distribution(model))
+
+
+def _gradient_moments(model: IsingModel, u: int, probs: np.ndarray):
     row = np.insert(model.coupling_row(u), u, 0.0)
     mean, second = 0.0, 0.0
-    for design in _enumeration_designs(model):
+    for design in _enumeration_designs(model, probs):
         values, grads, _ = evaluate_rows(design, [u, u],
                                          np.stack([row, 2.0 * row]))
         mean = mean + grads[0]
@@ -235,7 +241,8 @@ def exact_pair_covariance(model: IsingModel, exclude: int) -> np.ndarray:
     """Population second-moment matrix of the spins other than
     exclude, by enumeration."""
     model._check_vertex(exclude)
-    return _second_moments(_enumeration_designs(model), exclude)
+    return _second_moments(
+        _enumeration_designs(model, exact_distribution(model)), exclude)
 
 
 class CovarianceFloor(NamedTuple):
@@ -246,7 +253,13 @@ class CovarianceFloor(NamedTuple):
 def covariance_floor_check(model: IsingModel, u: int) -> CovarianceFloor:
     """Smallest eigenvalue of the exact pair covariance excluding u,
     against the guaranteed floor exp(-2 beta d)/(d+1)."""
-    h = exact_pair_covariance(model, u)
+    model._check_vertex(u)
+    return _covariance_floor(model, u, exact_distribution(model))
+
+
+def _covariance_floor(model: IsingModel, u: int,
+                      probs: np.ndarray) -> CovarianceFloor:
+    h = _second_moments(_enumeration_designs(model, probs), u)
     min_eig = float(np.linalg.eigvalsh(h)[0])
     d = model.max_degree
     floor = math.exp(-2.0 * beta_d(model)) / (d + 1)
@@ -338,7 +351,7 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     worst_mean = 0.0
     worst_second = 0.0
     for u in range(model.p):
-        mean, second = population_gradient_moments(model, u)
+        mean, second = _gradient_moments(model, u, probs)
         worst_mean = max(worst_mean, float(np.abs(mean).max()))
         worst_second = max(worst_second, float(np.abs(second - 1.0).max()))
     entries.append(_entry("screening_mean_zero", worst_mean <= 1e-12,
@@ -387,7 +400,7 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     # Covariance eigenvalue floor, every focal vertex.
     worst_gap = math.inf
     for u in range(model.p):
-        got = covariance_floor_check(model, u)
+        got = _covariance_floor(model, u, probs)
         worst_gap = min(worst_gap, got.min_eigenvalue - got.floor)
     entries.append(_entry("covariance_eigenvalue_floor", worst_gap >= -1e-10,
                           worst_gap, 0.0))
@@ -399,7 +412,7 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     penalty_exceed = 0
     cov_exceed = 0
     delta_cov = math.sqrt(2.0 / n * math.log(model.p ** 2 / epsilon))
-    h_exact = exact_pair_covariance(model, u0)
+    h_exact = _second_moments(_enumeration_designs(model, probs), u0)
     for _ in range(sets):
         design_s = draw(n)
         g = screening_gradient(NodeView(design_s, u0, n), theta0)

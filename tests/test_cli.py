@@ -396,3 +396,39 @@ def test_console_script_and_module_entry():
     script = shutil.which("isinglearn")
     if script is not None:
         _run_help([script])
+
+
+@pytest.mark.parametrize("model, flags", [
+    ({"p": 10 ** 12, "edges": []}, ["--glauber", "--n", "1"]),
+    ({"p": 4, "edges": []}, ["--exact", "--n", str(10 ** 15)]),
+], ids=["glauber-p", "exact-n"])
+def test_sample_larger_than_memory_exits_3(tmp_path, capsys, model, flags):
+    # Refused from the sizes alone: nothing of that size is allocated.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc = main(["sample", "--model", str(path), "--seed", "1",
+               "--out", str(tmp_path / "x.txt"), *flags])
+    assert rc == 3
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("nmin", "side", "x"),
+    ("nmin", "beta", "x"),
+    ("error-curve", "epsilon", "x"),
+    ("error-curve", "burn_in_sweeps", 1.5),
+    ("nmin", "thinning_sweeps", "x"),
+    ("nmin", "kkt_tolerance", [1e-6]),
+    ("error-curve", "max_iterations", True),
+    ("nmin", "out", 3),
+])
+def test_mistyped_manifest_field_exits_2(tmp_path, capsys, command, field,
+                                         value):
+    fields = {"kind": "nmin_vs_p", "sides": [2], "beta": 0.8} \
+        if command == "nmin" else {"kind": "error_vs_n", "ns": [400]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seed": 3, "side": 2, "trials": 1,
+                                **fields, field: value}))
+    assert main([command, "--manifest", str(path)]) == 2
+    assert f"manifest field {field} takes" in capsys.readouterr().err

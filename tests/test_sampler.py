@@ -10,7 +10,8 @@ from isinglearn import (GlauberConfig, InputError, IsingModel, SampleSet,
                         read_samples_binary, read_samples_text, sample_exact,
                         sample_glauber, write_samples_binary,
                         write_samples_text)
-from isinglearn.sampler import _colour_classes
+from isinglearn import sampler
+from isinglearn.sampler import _colour_classes, tally_configurations
 
 
 def _config_counts(samples: SampleSet) -> np.ndarray:
@@ -265,3 +266,78 @@ def test_glauber_matches_exact_distribution_off_bipartite():
     s = sample_glauber(m, 60_000, GlauberConfig(seed=12, burn_in_sweeps=100,
                                                 thinning_sweeps=2))
     assert _tv_from_exact(s, m) <= 0.02
+
+
+def _old_exact_rows(model: IsingModel, n: int, seed: int) -> np.ndarray:
+    """The rows an exact draw decodes to: inverse-CDF lookup of n
+    uniforms, then index k read as spin i = +1 iff bit i of k is set."""
+    cdf = np.cumsum(exact_distribution(model))
+    cdf[-1] = 1.0
+    u = np.random.default_rng(seed).random(n)
+    idx = np.searchsorted(cdf, u, side="right").astype(np.uint64)
+    bits = (idx[:, None] >> np.arange(model.p, dtype=np.uint64)) & np.uint64(1)
+    return (bits.astype(np.int8) * 2 - 1).astype(np.int8)
+
+
+# Couplings of 30 leave steps of about 1e-26 that the CDF cannot hold:
+# configurations no draw ever reaches, so the counts have gaps.
+_GAPPED = IsingModel(3, {(0, 1): 30.0, (1, 2): 30.0})
+_DRAWN_MODELS = [
+    make_grid_model(3, 0.6, "spin_glass", seed=1),
+    make_grid_model(4, 1.2, "spin_glass", seed=7),
+    make_random_model(9, 0.4, 0.3, 0.9, seed=2),
+    _GAPPED,
+    IsingModel(1, {}),
+]
+
+
+@pytest.mark.parametrize("model", _DRAWN_MODELS,
+                         ids=["glass-3x3", "glass-4x4", "random-9", "gapped",
+                              "one-spin"])
+@pytest.mark.parametrize("n", [1, 7, 28000, 80000])
+def test_drawn_tally_is_the_tally_of_its_rows(model, n):
+    s = sample_exact(model, n, seed=n + 3)
+    got = s.tally
+    assert "data" not in vars(s)  # counted, not decoded
+    want = tally_configurations(s.data)
+    assert got.spins.dtype == want.spins.dtype == np.int8
+    assert got.weights.dtype == want.weights.dtype
+    assert np.array_equal(got.spins, want.spins)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.total == want.total and type(got.total) is type(want.total)
+
+
+def test_gapped_model_has_unreachable_configurations():
+    assert np.any(np.diff(np.cumsum(exact_distribution(_GAPPED))) == 0.0)
+    s = sample_exact(_GAPPED, 80000, seed=83)
+    assert s.tally.spins.shape[1] < 1 << (_GAPPED.p - 1)
+
+
+@pytest.mark.parametrize("model", _DRAWN_MODELS,
+                         ids=["glass-3x3", "glass-4x4", "random-9", "gapped",
+                              "one-spin"])
+@pytest.mark.parametrize("seed", [0, 5, 424242])
+def test_drawn_rows_are_the_inverse_cdf_rows(model, seed):
+    s = sample_exact(model, 1000, seed)
+    assert s.data.dtype == np.int8
+    assert np.array_equal(s.data, _old_exact_rows(model, 1000, seed))
+    # Decoded once, then kept.
+    assert s.data is s.data
+
+
+def test_exact_draws_enumerate_a_model_once(monkeypatch):
+    calls = []
+    enumerate_all = sampler.exact_distribution
+
+    def counting(model):
+        calls.append(model.p)
+        return enumerate_all(model)
+
+    monkeypatch.setattr(sampler, "exact_distribution", counting)
+    m = make_grid_model(3, 0.6)
+    first = sample_exact(m, 100, seed=1)
+    second = sample_exact(m, 100, seed=1)
+    assert calls == [9]
+    assert np.array_equal(first.data, second.data)
+    sample_exact(make_grid_model(3, 0.6), 100, seed=1)
+    assert calls == [9, 9]  # a new model enumerates again

@@ -300,5 +300,29 @@ def test_fit_all_nodes_tallies_once(monkeypatch):
 
     monkeypatch.setattr(sampler, "tally_configurations", counting)
     s = sample_exact(make_grid_model(3, 0.6), 2000, seed=4)
+    # A set built from rows, as a file reader builds it.
+    s = SampleSet(s.p, s.n, s.data)
     fit_all_nodes(s, lambda_schedule(s.p, s.n, 0.05))
     assert calls == [(s.n, s.p)]
+
+
+def test_fit_all_nodes_counts_a_drawn_set_once(monkeypatch):
+    calls, rows = [], []
+    drawn = sampler._drawn_tally
+    tally = sampler.tally_configurations
+
+    def counting(cdf, u, p):
+        calls.append((u.size, p))
+        return drawn(cdf, u, p)
+
+    def decoding(data):
+        rows.append(data.shape)
+        return tally(data)
+
+    monkeypatch.setattr(sampler, "_drawn_tally", counting)
+    monkeypatch.setattr(sampler, "tally_configurations", decoding)
+    s = sample_exact(make_grid_model(3, 0.6), 2000, seed=4)
+    fit_all_nodes(s, lambda_schedule(s.p, s.n, 0.05))
+    assert calls == [(s.n, s.p)]
+    # The rows were neither tallied nor decoded.
+    assert rows == [] and "data" not in vars(s)
