@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -195,15 +196,27 @@ def _cmd_fit(args) -> int:
 
 def _cmd_learn(args) -> int:
     _check_threshold(args.threshold)
+    start = time.perf_counter()
     samples = _read_samples(args.samples)
+    read = time.perf_counter()
+    distinct = samples.tally.spins.shape[1]
+    tally = time.perf_counter()
     lam = args.lam
     if lam is None:
         lam = lambda_schedule(samples.p, samples.n, args.epsilon,
                               mode="structure")
     config = SolverConfig(kkt_tolerance=args.kkt_tol)
     estimates = fit_all_nodes(samples, lam, config)
+    solve = time.perf_counter()
     edge_set = edges_from_estimates(estimates, args.threshold, samples.p)
-    _emit(result_to_json(lam, args.threshold, edge_set, estimates), args.out)
+    threshold = time.perf_counter()
+    run = {"stages": {"read_s": read - start, "tally_s": tally - read,
+                      "solve_s": solve - tally,
+                      "threshold_s": threshold - solve},
+           "distinct_configurations": distinct,
+           "compression": samples.n / distinct}
+    _emit(result_to_json(lam, args.threshold, edge_set, estimates, run),
+          args.out)
     if all(est.report.converged for est in estimates):
         return EXIT_OK
     return EXIT_NOT_CONVERGED

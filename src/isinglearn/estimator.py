@@ -138,8 +138,11 @@ def square_error(theta_hat, model: IsingModel, u: int) -> float:
 
 
 def result_to_json(lam: float, alpha_threshold: float, edge_set: EdgeSet,
-                   estimates: list[NodeEstimate]) -> str:
-    """Serialize a reconstruction result to the interchange schema."""
+                   estimates: list[NodeEstimate],
+                   run: dict | None = None) -> str:
+    """Serialize a reconstruction result to the interchange schema; the
+    fields of run (how the result was computed) are added at the top
+    level."""
     obj = {
         "lambda": lam,
         "threshold": alpha_threshold,
@@ -157,5 +160,6 @@ def result_to_json(lam: float, alpha_threshold: float, edge_set: EdgeSet,
             }
             for est in estimates
         ],
+        **(run or {}),
     }
     return json.dumps(obj, indent=2)

@@ -20,7 +20,10 @@ the same form, so every loss and second moment reads one kind of data.
 Sample sets travel either as text ("p n" header then one row of
 +1/-1 tokens per sample) or as a packed binary stream (magic "ISNG",
 little-endian u32 p and u64 n, then row-major bits, bit value 1
-meaning spin +1, LSB-first within each byte).
+meaning spin +1, LSB-first within each byte), so a packed row is its
+configuration index. A set read with p <= 57 keeps its packed rows and
+is tallied from their indices; it and an exact draw write their files
+from their rows' indices, never decoding data.
 """
 
 from __future__ import annotations
@@ -78,19 +81,24 @@ def tally_configurations(data: np.ndarray) -> Design:
         configs, counts = np.unique(data * data[:, :1], axis=0,
                                     return_counts=True)
         return _design(np.ascontiguousarray(configs.T), counts, n)
-    # Bit i-1 of a code is set iff spin i equals spin 0.
     codes = np.zeros(n, dtype=np.int64)
     for i in range(1, p):
         codes |= (data[:, i] == data[:, 0]).astype(np.int64) << (i - 1)
+    return _tally_codes(codes, p)
+
+
+def _tally_codes(codes: np.ndarray, p: int) -> Design:
+    """The tally of rows given as codes (int64): bit i-1 of a row's code
+    is set iff its spin i equals its spin 0."""
     if p - 1 <= 20:
         full = np.bincount(codes, minlength=1 << (p - 1))
-        codes = np.flatnonzero(full)
-        counts = full[codes]
+        distinct = np.flatnonzero(full)
+        counts = full[distinct]
     else:
-        codes, counts = np.unique(codes, return_counts=True)
+        distinct, counts = np.unique(codes, return_counts=True)
     # As an index, with spin 0 at +1 in bit 0.
-    indices = (codes.astype(np.uint64) << np.uint64(1)) | np.uint64(1)
-    return _indexed_design(indices, counts, p, n)
+    indices = (distinct.astype(np.uint64) << np.uint64(1)) | np.uint64(1)
+    return _indexed_design(indices, counts, p, codes.size)
 
 
 def _drawn_tally(cdf: np.ndarray, u: np.ndarray, p: int) -> Design:
@@ -102,6 +110,38 @@ def _drawn_tally(cdf: np.ndarray, u: np.ndarray, p: int) -> Design:
     codes = np.flatnonzero(folded)
     return _indexed_design(codes.astype(np.uint64) * 2 + 1, folded[codes],
                            p, u.size)
+
+
+_WORD_LIMIT = 57
+
+
+def _row_words(packed: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The n rows of a packed payload as uint64 configuration indices:
+    the p bits from stream bit k p on have bit i set iff spin i is +1.
+    Eight rows fill exactly p bytes, so row j of each group of eight
+    starts at byte j p // 8 of the group, bit j p % 8, and for
+    p <= _WORD_LIMIT the 8 bytes from there hold it."""
+    groups = -(-n // 8)
+    buf = np.zeros(groups * p + 8, dtype=np.uint8)
+    buf[:packed.size] = packed
+    words = np.empty(groups * 8, dtype=np.uint64)
+    for j in range(8):
+        at = np.ndarray(groups, "<u8", buf, j * p // 8, (p,))
+        words[j::8] = at >> (j * p % 8)
+    return words[:n] & ((1 << p) - 1)
+
+
+def _pack_words(words: np.ndarray, p: int) -> np.ndarray:
+    """The packed payload of rows given as configuration indices, with
+    zero padding: the inverse of _row_words. Each group of eight rows
+    gets p bytes and 8 spare, so the word of its last row fits."""
+    n = words.size
+    out = np.zeros((-(-n // 8), p + 8), dtype=np.uint8)
+    for j in range(8):
+        row = words[j::8]
+        at = np.ndarray(row.size, "<u8", out, j * p // 8, (p + 8,))
+        at |= row << (j * p % 8)
+    return out[:, :p].reshape(-1)[:(n * p + 7) // 8]
 
 
 def _second_moments(designs, exclude: int) -> np.ndarray:
@@ -123,9 +163,10 @@ def _second_moments(designs, exclude: int) -> np.ndarray:
 @dataclass
 class SampleSet:
     """n configurations of p spins, one row each, entries -1/+1 (int8).
-    Treat instances as immutable: tally is computed once and kept. A
-    set drawn by sample_exact counts its tally from the model's CDF and
-    its uniforms, and decodes data on first access."""
+    Treat instances as immutable: tally is computed once and kept. A set
+    drawn by sample_exact (holding the CDF and its uniforms) or read from
+    a binary file with p <= 57 (holding its packed rows) is tallied and
+    written without decoding its rows, and decodes data on first access."""
 
     p: int
     n: int
@@ -143,13 +184,18 @@ class SampleSet:
             raise InputError("sample entries must be -1 or +1")
 
     def __getattr__(self, name):
-        # Reached only while data is unset, that is on a drawn set.
-        if name != "data" or "_draw" not in self.__dict__:
+        # Reached only while data is unset, that is on a drawn or read set.
+        if name != "data" or not self.__dict__.keys() & {"_draw", "_packed"}:
             raise AttributeError(name)
-        cdf, u = self._draw
-        self.data = configurations_from_indices(
-            np.searchsorted(cdf, u, side="right"), self.p)
+        self.data = configurations_from_indices(self._words(), self.p)
         return self.data
+
+    def _words(self) -> np.ndarray:
+        """The rows of a drawn or read set as configuration indices."""
+        if "_draw" in self.__dict__:
+            cdf, u = self._draw
+            return np.searchsorted(cdf, u, side="right").astype(np.uint64)
+        return _row_words(self._packed, self.p, self.n)
 
     @cached_property
     def tally(self) -> Design:
@@ -157,6 +203,12 @@ class SampleSet:
         every loss and moment of this sample set reads it."""
         if "_draw" in self.__dict__:
             return _drawn_tally(*self._draw, self.p)
+        if "_packed" in self.__dict__:
+            # Flip the rows with spin 0 at -1, then drop spin 0.
+            words = self._words()
+            flipped = words ^ ((words & 1) - 1)
+            codes = (flipped >> 1) & ((1 << (self.p - 1)) - 1)
+            return _tally_codes(codes.view(np.int64), self.p)
         return tally_configurations(self.data)
 
 
@@ -295,11 +347,18 @@ def empirical_covariance(samples: SampleSet, exclude: int) -> np.ndarray:
 
 
 def write_samples_text(samples: SampleSet, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{samples.p} {samples.n}\n")
-        for row in samples.data:
-            fh.write(" ".join("+1" if s > 0 else "-1" for s in row))
-            fh.write("\n")
+    p = samples.p
+    with open(path, "wb") as fh:
+        fh.write(f"{p} {samples.n}\n".encode("ascii"))
+        # 2^16 rows a chunk keep memory flat; each spin takes three bytes.
+        for lo in range(0, samples.n, 1 << 16):
+            rows = samples.data[lo:lo + (1 << 16)]
+            text = np.empty((rows.shape[0], p, 3), dtype=np.uint8)
+            text[:, :, 0] = ord(",") - rows  # "+" for +1, "-" for -1
+            text[:, :, 1] = ord("1")
+            text[:, :, 2] = ord(" ")
+            text[:, -1, 2] = ord("\n")
+            fh.write(text)
 
 
 def read_samples_text(path) -> SampleSet:
@@ -346,8 +405,10 @@ def _read_samples_text(path) -> SampleSet:
 
 
 def write_samples_binary(samples: SampleSet, path):
-    bits = (samples.data.reshape(-1) > 0).astype(np.uint8)
-    packed = np.packbits(bits, bitorder="little")
+    if "data" in vars(samples):
+        packed = np.packbits(samples.data.reshape(-1) > 0, bitorder="little")
+    else:
+        packed = _pack_words(samples._words(), samples.p)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", samples.p, samples.n))
@@ -369,7 +430,12 @@ def read_samples_binary(path) -> SampleSet:
             raise InputError(
                 f"sample binary payload has {len(payload)} bytes, expected {expected}"
             )
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
-                         count=n * p, bitorder="little")
-    data = (bits.astype(np.int8) * 2 - 1).reshape(n, p)
-    return SampleSet(p, n, data)
+    if n < 1 or p < 1:
+        raise InputError("need n >= 1 and p >= 1")
+    packed = np.frombuffer(payload, dtype=np.uint8)
+    if p > _WORD_LIMIT:
+        bits = np.unpackbits(packed, count=n * p, bitorder="little")
+        return SampleSet(p, n, (bits.astype(np.int8) * 2 - 1).reshape(n, p))
+    samples = SampleSet.__new__(SampleSet)
+    samples.p, samples.n, samples._packed = p, n, packed
+    return samples

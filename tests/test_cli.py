@@ -31,7 +31,8 @@ def test_gen_sample_learn_pipeline(workspace):
                "--out", str(result_path)])
     assert rc == 0
     doc = json.loads(result_path.read_text())
-    assert set(doc) == {"lambda", "threshold", "edges", "node_reports"}
+    assert set(doc) == {"lambda", "threshold", "edges", "node_reports",
+                        "stages", "distinct_configurations", "compression"}
     assert doc["lambda"] == pytest.approx(0.05211922859565606, rel=1e-15)
     model = load_model(str(model_path))
     got = {(e["i"], e["j"]) for e in doc["edges"]}
@@ -97,6 +98,35 @@ def test_binary_and_text_samples_agree(tmp_path, capsys):
                      "--lambda", "0.1"]) == 0
         thetas.append(json.loads(capsys.readouterr().out)["theta_hat"])
     assert thetas[0] == thetas[1]
+
+
+def test_learn_reads_a_binary_file_without_decoding_rows(tmp_path,
+                                                         monkeypatch):
+    model = tmp_path / "m.json"
+    samples = tmp_path / "s.bin"
+    out = tmp_path / "result.json"
+    assert main(["gen-model", "--grid", "3", "--beta", "0.7",
+                 "--out", str(model)]) == 0
+    assert main(["sample", "--model", str(model), "--n", "20000",
+                 "--seed", "5", "--binary", "--out", str(samples)]) == 0
+    kept = []
+    read = cli.read_samples_binary
+
+    def keeping(path):
+        kept.append(read(path))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "read_samples_binary", keeping)
+    assert main(["learn", "--samples", str(samples), "--threshold", "0.5",
+                 "--out", str(out)]) == 0
+    assert "data" not in vars(kept[0])
+    doc = json.loads(out.read_text())
+    distinct = kept[0].tally.spins.shape[1]
+    assert doc["distinct_configurations"] == distinct
+    assert doc["compression"] == 20000 / distinct
+    assert set(doc["stages"]) == {"read_s", "tally_s", "solve_s",
+                                  "threshold_s"}
+    assert all(t >= 0 for t in doc["stages"].values())
 
 
 def test_glauber_sampling_via_cli(tmp_path):

@@ -23,9 +23,13 @@ json_values = st.recursive(
     max_leaves=12)
 
 
-def _returns_or_input_error(read, arg, expect):
+def _returns_or_input_error(read, arg, expect, touch=()):
+    """Reading, then reading the named attributes of the result (which
+    may be computed on first access), raises nothing but InputError."""
     try:
         result = read(arg)
+        for name in touch:
+            getattr(result, name)
     except InputError:
         return
     assert isinstance(result, expect)
@@ -54,14 +58,16 @@ sample_binary = st.binary(max_size=64) | st.builds(
 @given(data=sample_text)
 def test_read_samples_text_raises_only_input_error(scratch, data):
     scratch.write_bytes(data)
-    _returns_or_input_error(read_samples_text, scratch, SampleSet)
+    _returns_or_input_error(read_samples_text, scratch, SampleSet,
+                            touch=("tally", "data"))
 
 
 @FUZZ
 @given(data=sample_binary)
 def test_read_samples_binary_raises_only_input_error(scratch, data):
     scratch.write_bytes(data)
-    _returns_or_input_error(read_samples_binary, scratch, SampleSet)
+    _returns_or_input_error(read_samples_binary, scratch, SampleSet,
+                            touch=("tally", "data"))
 
 
 edge_entries = st.fixed_dictionaries(

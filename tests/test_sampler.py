@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -341,3 +342,104 @@ def test_exact_draws_enumerate_a_model_once(monkeypatch):
     assert np.array_equal(first.data, second.data)
     sample_exact(make_grid_model(3, 0.6), 100, seed=1)
     assert calls == [9, 9]  # a new model enumerates again
+
+
+def _old_unpack(path) -> np.ndarray:
+    """The rows of a binary sample file as the reader used to decode
+    them: every bit unpacked, then mapped to -1/+1."""
+    raw = path.read_bytes()
+    p, n = struct.unpack("<IQ", raw[4:16])
+    bits = np.unpackbits(np.frombuffer(raw[16:], dtype=np.uint8),
+                         count=n * p, bitorder="little")
+    return (bits.astype(np.int8) * 2 - 1).reshape(n, p)
+
+
+def _set_to_write(p: int, n: int) -> SampleSet:
+    """Up to p = 16 an exact draw; above, rows drawn from a few base
+    configurations and their flips, so the tally folds and repeats."""
+    if p <= 16:
+        model = IsingModel(1, {}) if p == 1 else make_random_model(
+            p, 0.4, 0.3, 0.9, seed=p)
+        return sample_exact(model, n, seed=n)
+    rng = np.random.default_rng(p * 1000 + n)
+    base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, p))
+    rows = base[rng.integers(0, 5, n)] * rng.choice(
+        np.array([-1, 1], dtype=np.int8), size=(n, 1))
+    return SampleSet(p, n, rows)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 8, 9, 16, 25, 57, 58, 64, 65])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1001])
+def test_read_set_counts_the_tally_of_its_rows(tmp_path, p, n):
+    path = tmp_path / "s.bin"
+    write_samples_binary(_set_to_write(p, n), path)
+    s = read_samples_binary(path)
+    got = s.tally
+    # Up to p = 57 the rows are counted from the packed words.
+    assert ("data" in vars(s)) == (p > 57)
+    assert s.data.dtype == np.int8
+    assert np.array_equal(s.data, _old_unpack(path))
+    want = tally_configurations(s.data)
+    assert got.spins.dtype == want.spins.dtype == np.int8
+    assert got.weights.dtype == want.weights.dtype
+    assert np.array_equal(got.spins, want.spins)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.total == want.total and type(got.total) is type(want.total)
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (9, 7), (13, 1), (57, 9), (58, 3)])
+def test_padding_bits_are_ignored_and_written_as_zero(tmp_path, p, n):
+    assert n * p % 8  # the last byte has padding bits
+    clean, dirty, again = (tmp_path / f"{k}.bin"
+                           for k in ("clean", "dirty", "again"))
+    s = _set_to_write(p, n)
+    write_samples_binary(s, clean)
+    raw = clean.read_bytes()
+    dirty.write_bytes(raw[:-1] + bytes([raw[-1] | (0xFF << n * p % 8) & 0xFF]))
+    back = read_samples_binary(dirty)
+    write_samples_binary(back, again)
+    assert again.read_bytes() == raw
+    assert np.array_equal(back.tally.spins, s.tally.spins)
+    assert np.array_equal(back.tally.weights, s.tally.weights)
+    assert np.array_equal(back.data, s.data)
+
+
+@pytest.mark.parametrize("p, n", [(0, 4), (4, 0), (0, 0)])
+def test_binary_header_without_rows_or_spins_is_refused(tmp_path, p, n):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"ISNG" + struct.pack("<IQ", p, n))
+    with pytest.raises(InputError, match="n >= 1 and p >= 1"):
+        read_samples_binary(path)
+
+
+@pytest.mark.parametrize("side", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 7, 1001])
+def test_drawn_set_writes_the_file_of_its_rows(tmp_path, side, n):
+    s = sample_exact(make_grid_model(side, 0.6, "spin_glass", seed=side),
+                     n, seed=n)
+    drawn, rows = tmp_path / "drawn.bin", tmp_path / "rows.bin"
+    write_samples_binary(s, drawn)
+    assert "data" not in vars(s)  # packed from the draw, not decoded
+    write_samples_binary(SampleSet(s.p, s.n, s.data), rows)
+    assert drawn.read_bytes() == rows.read_bytes()
+
+
+def _old_write_text(samples: SampleSet, path):
+    """The text writer as it was: one formatted row at a time."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{samples.p} {samples.n}\n")
+        for row in samples.data:
+            fh.write(" ".join("+1" if s > 0 else "-1" for s in row))
+            fh.write("\n")
+
+
+@pytest.mark.parametrize("p", [1, 2, 9])
+@pytest.mark.parametrize("n", [1, 257])
+def test_text_writer_matches_the_row_loop(tmp_path, p, n):
+    rng = np.random.default_rng(p + n)
+    s = SampleSet(p, n, rng.choice(np.array([-1, 1], dtype=np.int8),
+                                   size=(n, p)))
+    bulk, loop = tmp_path / "bulk.txt", tmp_path / "loop.txt"
+    write_samples_text(s, bulk)
+    _old_write_text(s, loop)
+    assert bulk.read_bytes() == loop.read_bytes()
