@@ -189,6 +189,10 @@ def _cmd_fit(args) -> int:
         "kkt": est.report.final_kkt_residual,
         "converged": est.report.converged,
         "saturated": est.report.saturated,
+        "evaluations": est.report.evaluations,
+        "backtracks": est.report.backtracks,
+        "restarts": est.report.restarts,
+        "stalls": est.report.stalls,
     }
     _emit(json.dumps(payload, indent=2), args.out)
     return EXIT_OK if est.report.converged else EXIT_NOT_CONVERGED

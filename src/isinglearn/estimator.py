@@ -82,14 +82,17 @@ def fit_node(samples: SampleSet, u: int, lam: float,
 
 
 def fit_all_nodes(samples: SampleSet, lam: float,
-                  config: SolverConfig | None = None) -> list[NodeEstimate]:
+                  config: SolverConfig | None = None,
+                  x0: np.ndarray | None = None) -> list[NodeEstimate]:
     """Fit every vertex in one lockstep solve on the sample set's
-    tally; results ordered by vertex id."""
+    tally; results ordered by vertex id. x0, when given, is a p x p
+    coupling matrix to start from (row u for vertex u; its diagonal is
+    ignored), such as coupling_matrix of an earlier fit."""
     cfg = _with_penalty(lam, config)
     if samples.p < 2:
         raise InputError("need p >= 2 for a nonempty view")
     nodes = range(samples.p)
-    reports = minimize_rows(samples.tally, nodes, cfg)
+    reports = minimize_rows(samples.tally, nodes, cfg, x0)
     return [NodeEstimate(u, rep.solution, lam, rep)
             for u, rep in zip(nodes, reports)]
 
@@ -99,14 +102,21 @@ def _check_threshold(alpha_threshold: float):
         raise InputError("alpha_threshold must be positive")
 
 
-def edges_from_estimates(estimates: list[NodeEstimate], alpha_threshold: float,
-                         p: int) -> EdgeSet:
-    _check_threshold(alpha_threshold)
+def coupling_matrix(estimates: list[NodeEstimate], p: int) -> np.ndarray:
+    """The p x p matrix whose row u holds vertex u's estimate (zero
+    diagonal)."""
     if len(estimates) != p or any(est.u != u for u, est in enumerate(estimates)):
         raise InputError("need one estimate per vertex, ordered by vertex id")
     theta = np.zeros((p, p))
     for est in estimates:
         theta[est.u, np.arange(p) != est.u] = est.theta_hat
+    return theta
+
+
+def edges_from_estimates(estimates: list[NodeEstimate], alpha_threshold: float,
+                         p: int) -> EdgeSet:
+    _check_threshold(alpha_threshold)
+    theta = coupling_matrix(estimates, p)
     pair_sums = theta + theta.T
     i, j = np.nonzero(np.triu(np.abs(pair_sums) >= alpha_threshold, k=1))
     edges = list(zip(i.tolist(), j.tolist()))
@@ -157,6 +167,10 @@ def result_to_json(lam: float, alpha_threshold: float, edge_set: EdgeSet,
                 "kkt": est.report.final_kkt_residual,
                 "converged": est.report.converged,
                 "saturated": est.report.saturated,
+                "evaluations": est.report.evaluations,
+                "backtracks": est.report.backtracks,
+                "restarts": est.report.restarts,
+                "stalls": est.report.stalls,
             }
             for est in estimates
         ],

@@ -11,6 +11,11 @@ at which structure recovery succeeds in all `trials` independent
 trials: doubling from n_start to bracket the transition, then
 bisection until the bracket's relative width is at most rel_width.
 The reported n_min is the bracket's upper end (a confirmed success).
+Neighbouring candidates fit nearly the same couplings, so each is warm
+started: every trial of a candidate starts its fits from trial 0's
+coupling matrix at the candidate before it, and a width's first
+candidate starts from 0. Trial 0 always runs and the rule does not
+look at threads, so the pool size changes wall time, never a row.
 
 run_error_curve fits every node at each listed n with the node-mode
 penalty schedule and reports the mean l2 coupling error.
@@ -27,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimator import (fit_all_nodes, lambda_schedule, learn_structure,
-                        perfect_recovery, square_error)
+from .estimator import (coupling_matrix, edges_from_estimates,
+                        fit_all_nodes, lambda_schedule, perfect_recovery,
+                        square_error)
 from .model import IsingModel, make_grid_model
 from .sampler import RNG_ALGORITHM, GlauberConfig, sample_exact, sample_glauber
 from .solver import SolverConfig
@@ -45,8 +51,9 @@ class ExperimentManifest:
     (param column = p); "nmin_vs_beta" sweeps coupling magnitudes at a
     fixed side (param column = beta); "error_vs_n" sweeps the sample
     sizes in ns on one fixed model. threads sizes the pool that runs
-    an nmin candidate's trials; error_vs_n runs its trials in turn and
-    takes only threads = 1.
+    an nmin candidate's trials (the rows do not depend on it);
+    error_vs_n runs its trials in turn, each from 0, and takes only
+    threads = 1.
     """
 
     kind: str
@@ -164,48 +171,61 @@ def _solver_config(manifest: ExperimentManifest) -> SolverConfig:
 
 
 def _recovery_trial(manifest: ExperimentManifest, model: IsingModel, n: int,
-                    lam: float, threshold: float, trial_seed: int) -> bool:
+                    lam: float, threshold: float, trial_seed: int,
+                    start: np.ndarray | None):
+    """One trial fitted from the coupling matrix start (None: from 0);
+    returns whether it recovered the edges, and its coupling matrix."""
     samples = _draw(manifest, model, n, trial_seed)
-    edge_set = learn_structure(samples, lam, threshold,
-                               config=_solver_config(manifest))
-    return perfect_recovery(edge_set, model)
+    estimates = fit_all_nodes(samples, lam, _solver_config(manifest), start)
+    edge_set = edges_from_estimates(estimates, threshold, model.p)
+    return (perfect_recovery(edge_set, model),
+            coupling_matrix(estimates, model.p))
 
 
 def _all_trials_succeed(manifest: ExperimentManifest, model: IsingModel,
-                        n: int, param_index: int, attempt: int) -> bool:
+                        n: int, param_index: int, attempt: int,
+                        start: np.ndarray | None):
+    """Whether every trial at n recovers the edges, and trial 0's
+    coupling matrix. Trials run in batches of `threads`, and a batch
+    with a failure ends the candidate; trial 0 is in the first batch,
+    so it always runs."""
     lam = lambda_schedule(model.p, n, manifest.epsilon, mode="structure")
     threshold = model.min_coupling
     seeds = [
         _seed_int(_derived_seed(manifest.seed, 1, param_index, attempt, t))
         for t in range(manifest.trials)
     ]
-    if manifest.threads == 1:
-        for s in seeds:
-            if not _recovery_trial(manifest, model, n, lam, threshold, s):
-                return False
-        return True
+
+    def trial(seed: int):
+        return _recovery_trial(manifest, model, n, lam, threshold, seed,
+                               start)
+
     with ThreadPoolExecutor(max_workers=manifest.threads) as pool:
-        for start in range(0, len(seeds), manifest.threads):
-            batch = seeds[start:start + manifest.threads]
-            results = list(pool.map(
-                lambda s: _recovery_trial(manifest, model, n, lam, threshold, s),
-                batch))
-            if not all(results):
-                return False
-    return True
+        run = map if manifest.threads == 1 else pool.map
+        for lo in range(0, len(seeds), manifest.threads):
+            results = list(run(trial, seeds[lo:lo + manifest.threads]))
+            if lo == 0:
+                first = results[0][1]
+            if not all(ok for ok, _ in results):
+                return False, first
+    return True, first
 
 
 def _search_nmin(manifest: ExperimentManifest, model: IsingModel,
                  param_index: int):
     """Doubling then bisection; returns (n_min, resolved). Each
     candidate evaluation uses fresh derived seeds (attempt counter), so
-    no candidate is judged on recycled samples."""
+    no candidate is judged on recycled samples, and starts its fits
+    from trial 0's coupling matrix at the previous candidate."""
     attempt = 0
+    start = None
 
     def success(n: int) -> bool:
-        nonlocal attempt
+        nonlocal attempt, start
         attempt += 1
-        return _all_trials_succeed(manifest, model, n, param_index, attempt)
+        ok, start = _all_trials_succeed(manifest, model, n, param_index,
+                                        attempt, start)
+        return ok
 
     n = manifest.n_start
     if success(n):

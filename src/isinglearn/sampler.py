@@ -361,6 +361,57 @@ def write_samples_text(samples: SampleSet, path):
             fh.write(text)
 
 
+# str.split()'s whitespace among the ASCII characters.
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+# Tokens in each numpy pass of _parse_rows, for rows of p tokens.
+_TEXT_ENTRIES = 1 << 18
+
+
+def _parse_rows(chars, ends, p: int, n: int) -> np.ndarray:
+    """The first n lines of chars (ASCII codes, with "\n" at ends) as
+    n rows of p spins, a block of rows per numpy pass. Lines split on
+    whitespace and tokens read as int() reads them ("+1", "-1" and "1"
+    in bulk, any other through int()); the first bad row raises with
+    its first failing check: token count, integer, +/-1."""
+    # Row k is chars[bounds[k] + 1:bounds[k + 1]]; rows past the last
+    # line are empty.
+    bounds = np.r_[-1, ends[:n], np.full(max(0, n - ends.size), chars.size)]
+    data = np.empty((n, p), dtype=np.int8)
+    block = max(1, _TEXT_ENTRIES // p)
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        seg = chars[bounds[lo] + 1:bounds[hi]]
+        edges = np.flatnonzero(np.diff(~_BLANK[seg], prepend=False,
+                                       append=False))
+        first, stop = edges[::2], edges[1::2]
+        row = np.searchsorted(bounds[lo + 1:hi + 1] - bounds[lo] - 1, first)
+        sign, size = seg[first], stop - first
+        plain = (seg[stop - 1] == ord("1")) & (
+            (size == 1) | (size == 2) & ((sign == ord("+"))
+                                         | (sign == ord("-"))))
+        # Per row: a wrong token count, a non-integer token, an integer
+        # other than +/-1.
+        faults = np.zeros((3, hi - lo), dtype=bool)
+        faults[0] = np.bincount(row, minlength=hi - lo) != p
+        for t in np.flatnonzero(~plain):
+            try:
+                value = int(seg[first[t]:stop[t]].tobytes())
+            except ValueError:
+                faults[1, row[t]] = True
+            else:
+                faults[2, row[t]] |= abs(value) != 1
+        if faults.any():
+            k = int(np.argmax(faults.any(axis=0)))
+            raise InputError(f"sample row {lo + k} " + [
+                f"has {np.sum(row == k)} tokens, expected {p}",
+                "has a non-integer token",
+                "has entries other than -1/+1"][np.argmax(faults[:, k])])
+        data[lo:hi] = np.where(sign == ord("-"), -1, 1).reshape(hi - lo, p)
+    return data
+
+
 def read_samples_text(path) -> SampleSet:
     try:
         return _read_samples_text(path)
@@ -387,20 +438,12 @@ def _read_samples_text(path) -> SampleSet:
         if body < 2 * p * n - 1:
             raise InputError(f"sample text header declares {n} rows of {p} "
                              f"spins, but only {body} bytes follow it")
-        data = np.empty((n, p), dtype=np.int8)
-        for k in range(n):
-            tokens = fh.readline().split()
-            if len(tokens) != p:
-                raise InputError(f"sample row {k} has {len(tokens)} tokens, expected {p}")
-            try:
-                row = [int(t) for t in tokens]
-            except ValueError as exc:
-                raise InputError(f"sample row {k} has a non-integer token") from exc
-            if any(abs(v) != 1 for v in row):
-                raise InputError(f"sample row {k} has entries other than -1/+1")
-            data[k] = row
-        if any(line.strip() for line in fh):
-            raise InputError(f"sample text has rows after the {n} its header declares")
+        # Text mode has turned every line end into "\n".
+        chars = np.frombuffer(fh.read().encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    data = _parse_rows(chars, ends, p, n)
+    if ends.size >= n and not _BLANK[chars[ends[n - 1]:]].all():
+        raise InputError(f"sample text has rows after the {n} its header declares")
     return SampleSet(p, n, data)
 
 

@@ -85,15 +85,14 @@ def node_view(samples: SampleSet, u: int) -> NodeView:
     return NodeView(samples.tally, u, samples.n)
 
 
-def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
-                  gradient: bool = True):
+def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
     """Losses of the focal vertices rows[i] at the coupling rows
     theta[i] (len(rows) x p, zero at each focal vertex), in one pass
     over the design in blocks of configurations.
 
-    Returns (values, gradients, saturated): gradients is None unless
-    asked for, and its focal entries are 0; saturated[i] tells whether
-    row i's linear forms hit the clamp.
+    Returns (values, gradients, saturated): the focal entries of
+    gradients are 0; saturated[i] tells whether row i's linear forms
+    hit the clamp.
     """
     spins, weights, total = design
     values = grads = 0.0
@@ -117,12 +116,9 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
         # Along the contiguous axis numpy sums pairwise, which keeps the
         # rounding far below the solver's 1e-15 slack.
         values = values + e.sum(axis=1)
-        if gradient:
-            e *= focal
-            grads = grads + e @ c.T
+        e *= focal
+        grads = grads + e @ c.T
     values /= total
-    if not gradient:
-        return values, None, saturated
     grads /= -total
     grads[np.arange(len(rows)), rows] = 0.0
     return values, grads, saturated

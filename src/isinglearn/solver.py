@@ -13,19 +13,30 @@ to float rounding (each step may rise by at most one part in 1e15);
 sub-resolution steps stay accepted because near the minimum true
 descent is smaller than what float64 objective comparisons can
 witness, while the iterates themselves keep contracting and the
-optimality residual keeps improving. Starting point is the origin
-unless a caller overrides it, which makes the fully-penalized regime
-exact: the gradient at 0 is an average of +/-1 rows, so
-||grad||_inf <= 1 and any lam >= 1 keeps every soft-threshold step at
-exactly 0.
+optimality residual keeps improving. Starting point is the origin,
+which makes the fully-penalized regime exact: the gradient at 0 is an
+average of +/-1 rows, so ||grad||_inf <= 1 and any lam >= 1 keeps every
+soft-threshold step at exactly 0. A caller may start from a nearby
+solution instead (x0, such as an earlier fit of the same model); a start
+that already meets the tolerance returns after its one evaluation, with
+0 iterations.
+
+Each candidate step is evaluated with its gradient, so an accepted
+candidate becomes the iterate with the value, gradient and saturation
+flag of that evaluation, and its optimality residual is read off that
+gradient. The only other evaluation of a round is the new momentum
+point, and only for rows that continue: an iteration costs two
+evaluations plus one per backtrack.
 
 The rows are independent problems, but they share their data, so one
 loop advances all of them in lockstep: every row keeps its own step,
 momentum and restart state, each round's evaluations of all unfinished
 rows go through one pass over the design (screening.evaluate_rows), and
 a row drops out once it converges, stalls or reaches max_iterations.
-minimize(view, config) is the one-row case: a view is the shared design
-plus its focal vertex, so one vertex is solved on the same data.
+Each row's report counts its evaluations, backtracks, momentum restarts
+and stalls. minimize(view, config) is the one-row case: a view is the
+shared design plus its focal vertex, so one vertex is solved on the
+same data.
 
 Convergence is declared per row on the subgradient optimality residual
 (kkt_residual below), not on objective or iterate drift.
@@ -75,6 +86,12 @@ class SolveReport:
     objective_value: float
     converged: bool
     saturated: bool = False
+    # Loss evaluations (the start point's included), backtracking
+    # steps, momentum restarts and stalled steps.
+    evaluations: int = 0
+    backtracks: int = 0
+    restarts: int = 0
+    stalls: int = 0
     # Accepted composite objectives, first entry at the starting point;
     # only filled when SolverConfig.track_history is set.
     objective_history: list[float] | None = None
@@ -142,6 +159,12 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
     obj_x = value_x + lam * np.abs(x).sum(axis=1)
     residual = _kkt_rows(grad_x, x, lam)
     history = [[float(o)] for o in obj_x] if config.track_history else None
+    # Per-row counters, indexed like rows. evals counts the start and
+    # the momentum points; each iteration's candidate and each backtrack
+    # are added at the end.
+    evals = np.ones(r, dtype=np.int64)
+    backtracks, restarts, stalls = (np.zeros(r, dtype=np.int64)
+                                    for _ in range(3))
 
     # A row's results, written when it finishes; rows still running at
     # the iteration cap keep their last accepted state.
@@ -171,17 +194,21 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             break
         # Backtracking: shrink each row's step until the quadratic model
         # at its y majorizes; rows leave the loop as they are satisfied.
+        # Each candidate is evaluated with its gradient, which it keeps
+        # if it is accepted.
         slack = 1e-15 * (1.0 + np.abs(value_y))
         cand = soft_threshold(y - step[:, None] * grad_y, step[:, None] * lam)
-        val_cand = evaluate_rows(design, u, cand, gradient=False)[0]
+        val_cand, grad_cand, sat_cand = evaluate_rows(design, u, cand)
         fits = _majorized(val_cand, cand, y, value_y, grad_y, step, slack)
         todo = np.flatnonzero(~fits) if not fits.all() else ()
         while len(todo):
             step[todo] *= _BACKTRACK_SHRINK
             s = step[todo, None]
             c = soft_threshold(y[todo] - s * grad_y[todo], s * lam)
-            v = evaluate_rows(design, u[todo], c, gradient=False)[0]
-            cand[todo], val_cand[todo] = c, v
+            v, g, sat = evaluate_rows(design, u[todo], c)
+            backtracks[pos[todo]] += 1
+            cand[todo], val_cand[todo], grad_cand[todo], sat_cand[todo] = (
+                c, v, g, sat)
             todo = todo[~_majorized(v, c, y[todo], value_y[todo],
                                     grad_y[todo], step[todo], slack[todo])]
         obj_cand = val_cand + lam * np.abs(cand).sum(axis=1)
@@ -190,48 +217,42 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
         # resolution must stay accepted or the polish phase stalls
         # with the residual stuck above tight tolerances.
         worse = obj_cand > obj_x + 1e-15 * (1.0 + np.abs(obj_x))
-        done = np.zeros(pos.size, dtype=bool)
-        conv = np.zeros(pos.size, dtype=bool)
-        if worse.any():
+        rejected = worse.any()
+        if rejected:
             # Momentum overshot: restart from the last accepted point.
             restart = worse & ~y_is_x
             y[restart], value_y[restart], grad_y[restart] = (
                 x[restart], value_x[restart], grad_x[restart])
             t_mom[restart] = 1.0
+            restarts[pos[restart]] += 1
             # A plain step from x cannot descend: numerical stall.
             stall = worse & y_is_x
+            stalls[pos[stall]] += 1
             y_is_x |= restart
             step[stall] *= _BACKTRACK_SHRINK
-            done = stall & (step <= _MIN_STEP)
+            # An accepted candidate is the new iterate, with the value,
+            # gradient and saturation flag of its own evaluation.
             acc = np.flatnonzero(~worse)
+            x_prev[acc] = x[acc]
+            x[acc], value_x[acc], grad_x[acc], obj_x[acc] = (
+                cand[acc], val_cand[acc], grad_cand[acc], obj_cand[acc])
+            saturated[acc] |= sat_cand[acc]
         else:
             acc = slice(None)
-
-        x_acc = cand[acc]
-        k = x_acc.shape[0]
-        if k:
-            x_prev[acc] = x[acc]
-            x[acc], obj_x[acc] = x_acc, obj_cand[acc]
-            if history is not None:
-                for i, o in zip(pos[acc], obj_cand[acc]):
-                    history[i].append(float(o))
-            # Momentum points, evaluated in the same pass as the new
-            # iterates.
-            if config.acceleration:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom[acc] ** 2))
-                coef = (t_mom[acc] - 1.0) / t_next
-            else:
-                t_next, coef = t_mom[acc], np.zeros(k)
-            y_new = x_acc + coef[:, None] * (x_acc - x_prev[acc])
-            u_acc = u[acc]
-            values, grads, sat = evaluate_rows(
-                design, np.concatenate([u_acc, u_acc]),
-                np.concatenate([x_acc, y_new]))
-            value_x[acc], grad_x[acc] = values[:k], grads[:k]
-            saturated[acc] |= sat[:k]
-            residual[acc] = _kkt_rows(grads[:k], x_acc, lam)
-            conv[acc] = residual[acc] <= tol
-            done[acc] = conv[acc] | (step[acc] <= _MIN_STEP)
+            x_prev, x, value_x, grad_x, obj_x = (x, cand, val_cand,
+                                                 grad_cand, obj_cand)
+            saturated |= sat_cand
+        if history is not None:
+            for i, o in zip(pos[acc], obj_cand[acc]):
+                history[i].append(float(o))
+        residual[acc] = _kkt_rows(grad_x[acc], x[acc], lam)
+        # A running row's residual is above tol until an accepted step
+        # brings it down; a rejected row finishes only if it stalled at
+        # the smallest step.
+        conv = residual <= tol
+        done = conv | (step <= _MIN_STEP)
+        if rejected:
+            done = np.where(worse, stall & (step <= _MIN_STEP), done)
 
         finished = done.any()
         if finished:
@@ -240,10 +261,24 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
                                                 residual[done])
             out_sat[i], out_conv[i] = saturated[done], conv[done]
             out_iter[i] = iteration
+            acc = np.flatnonzero(~(worse | done))
 
+        # Momentum points, evaluated only for the accepted rows that
+        # continue.
+        x_acc = x[acc]
+        k = x_acc.shape[0]
         if k:
-            y[acc], value_y[acc], grad_y[acc] = y_new, values[k:], grads[k:]
-            saturated[acc] |= sat[k:]
+            if config.acceleration:
+                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom[acc] ** 2))
+                coef = (t_mom[acc] - 1.0) / t_next
+            else:
+                t_next, coef = t_mom[acc], np.zeros(k)
+            y_new = x_acc + coef[:, None] * (x_acc - x_prev[acc])
+            value_y[acc], grad_y[acc], sat = evaluate_rows(design, u[acc],
+                                                           y_new)
+            evals[pos[acc]] += 1
+            y[acc] = y_new
+            saturated[acc] |= sat
             t_mom[acc] = t_next
             y_is_x[acc] = not config.acceleration
             step[acc] *= _STEP_GROWTH
@@ -258,9 +293,12 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
 
     out_x[pos], out_obj[pos], out_res[pos], out_sat[pos] = (
         x, obj_x, residual, saturated)
+    evals += out_iter + backtracks
     return [SolveReport(np.delete(out_x[i], rows[i]), int(out_iter[i]),
                         float(out_res[i]), float(out_obj[i]),
                         bool(out_conv[i]), bool(out_sat[i]),
+                        int(evals[i]), int(backtracks[i]), int(restarts[i]),
+                        int(stalls[i]),
                         history[i] if history is not None else None)
             for i in range(r)]
 

@@ -63,6 +63,9 @@ def test_fit_large_penalty_zeroes_out(workspace, capsys):
     assert doc["theta_hat"] == [0.0] * 8
     assert doc["iterations"] == 0
     assert doc["converged"] is True
+    assert list(doc)[-5:] == ["saturated", "evaluations", "backtracks",
+                              "restarts", "stalls"]
+    assert [doc[k] for k in list(doc)[-4:]] == [1, 0, 0, 0]
 
 
 def test_fit_unreachable_tolerance_exits_4(tmp_path):

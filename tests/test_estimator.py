@@ -139,6 +139,22 @@ def test_all_node_fit_matches_one_row_fits(p):
         assert kkt_residual(grad, est.theta_hat, lam) <= 1.01e-8
 
 
+@pytest.mark.parametrize("p", [9, 16, 70])
+def test_solver_counters_add_up(p):
+    # The start is one evaluation; each iteration evaluates its
+    # candidate (again for each backtrack) and, unless the row restarts,
+    # stalls or finishes, its momentum point.
+    s = _samples(p)
+    estimates = fit_all_nodes(s, lambda_schedule(p, s.n, 0.05),
+                              SolverConfig(kkt_tolerance=1e-8))
+    for est in estimates:
+        r = est.report
+        assert 1 + r.iterations + r.backtracks <= r.evaluations
+        assert r.evaluations <= 2 * r.iterations + r.backtracks + 1
+        assert r.restarts + r.stalls <= r.iterations
+    assert sum(e.report.backtracks for e in estimates) > 0
+
+
 def test_capped_row_stops_while_the_others_converge():
     s = _samples(9)
     lam = lambda_schedule(9, s.n, 0.05)
@@ -193,6 +209,9 @@ def test_result_json_schema():
         assert e["weight"] == edge_set.weights[(e["i"], e["j"])]
     assert [r["u"] for r in doc["node_reports"]] == [0, 1, 2]
     for r in doc["node_reports"]:
-        assert set(r) == {"u", "iterations", "kkt", "converged", "saturated"}
+        assert set(r) == {"u", "iterations", "kkt", "converged", "saturated",
+                          "evaluations", "backtracks", "restarts", "stalls"}
+        assert list(r)[4:] == ["saturated", "evaluations", "backtracks",
+                               "restarts", "stalls"]
         assert r["converged"] is True
         assert r["saturated"] is False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isinglearn import experiments, sampler
+from isinglearn import estimator, experiments, sampler
 from isinglearn import (ERROR_CSV_HEADER, ExperimentManifest, InputError,
                         NMIN_CSV_HEADER, loglog_slope, manifest_from_dict,
                         run_error_curve, run_nmin_search, semilog_slope,
@@ -151,3 +151,58 @@ def test_nmin_search_enumerates_each_model_once(monkeypatch):
     assert len(enumerated) == 2 and enumerated[0] is not enumerated[1]
     assert {id(m) for m in drawn} == {id(m) for m in enumerated}
     assert len(drawn) > 2 * len(enumerated)
+
+
+def _glass_nmin_manifest(threads):
+    return ExperimentManifest(kind="nmin_vs_beta", seed=7,
+                              family="spin_glass", side=3,
+                              betas=(0.6, 0.9), trials=3, n_start=1000,
+                              rel_width=0.25, kkt_tolerance=1e-6,
+                              threads=threads)
+
+
+def test_nmin_rows_do_not_depend_on_threads():
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_seconds"}
+                          for r in rows]
+    one = run_nmin_search(_glass_nmin_manifest(1))
+    assert len(one) == 2 and all(r["success"] for r in one)
+    assert strip(run_nmin_search(_glass_nmin_manifest(2))) == strip(one)
+
+
+def _candidate_starts(monkeypatch, threads):
+    """Per candidate n, in order: its penalty, the start all of its
+    trials were fitted from, and the coupling matrices they found."""
+    fits = []
+
+    def recording(samples, lam, config=None, x0=None):
+        estimates = estimator.fit_all_nodes(samples, lam, config, x0)
+        fits.append((lam, x0, estimator.coupling_matrix(estimates,
+                                                        samples.p)))
+        return estimates
+
+    monkeypatch.setattr(experiments, "fit_all_nodes", recording)
+    run_nmin_search(_glass_nmin_manifest(threads))
+    candidates = []
+    for lam, x0, theta in fits:
+        if (not candidates or lam != candidates[-1][0]
+                or x0 is not candidates[-1][1]):
+            candidates.append((lam, x0, []))
+        candidates[-1][2].append(theta)
+    return candidates
+
+
+def test_nmin_trials_start_from_the_previous_candidates_first_trial(
+        monkeypatch):
+    # Every trial of a candidate starts from trial 0's coupling matrix
+    # at the candidate before it; each width's first candidate from 0.
+    one = _candidate_starts(monkeypatch, 1)
+    firsts = [i for i, (_, x0, _) in enumerate(one) if x0 is None]
+    assert firsts[0] == 0 and len(firsts) == 2
+    for i, (_, x0, _) in enumerate(one):
+        if i not in firsts:
+            assert np.array_equal(x0, one[i - 1][2][0])
+    # A pool runs the same candidates from the same starts.
+    two = _candidate_starts(monkeypatch, 2)
+    assert [lam for lam, _, _ in two] == [lam for lam, _, _ in one]
+    for (_, a, _), (_, b, _) in zip(one, two):
+        assert (a is None and b is None) or np.array_equal(a, b)

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -443,3 +444,112 @@ def test_text_writer_matches_the_row_loop(tmp_path, p, n):
     write_samples_text(s, bulk)
     _old_write_text(s, loop)
     assert bulk.read_bytes() == loop.read_bytes()
+
+
+def _old_read_text(path) -> SampleSet:
+    """The text reader as it was: one row at a time."""
+    with open(path, "r", encoding="ascii") as fh:
+        header_line = fh.readline()
+        header = header_line.split()
+        if len(header) != 2:
+            raise InputError("sample text header must be 'p n'")
+        try:
+            p, n = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise InputError("sample text header must be 'p n'") from exc
+        if p < 1 or n < 1:
+            raise InputError(f"sample text header needs p >= 1 and n >= 1, "
+                             f"got p={p}, n={n}")
+        body = os.fstat(fh.fileno()).st_size - len(header_line)
+        if body < 2 * p * n - 1:
+            raise InputError(f"sample text header declares {n} rows of {p} "
+                             f"spins, but only {body} bytes follow it")
+        data = np.empty((n, p), dtype=np.int8)
+        for k in range(n):
+            tokens = fh.readline().split()
+            if len(tokens) != p:
+                raise InputError(f"sample row {k} has {len(tokens)} tokens, expected {p}")
+            try:
+                row = [int(t) for t in tokens]
+            except ValueError as exc:
+                raise InputError(f"sample row {k} has a non-integer token") from exc
+            if any(abs(v) != 1 for v in row):
+                raise InputError(f"sample row {k} has entries other than -1/+1")
+            data[k] = row
+        if any(line.strip() for line in fh):
+            raise InputError(f"sample text has rows after the {n} its header declares")
+    return SampleSet(p, n, data)
+
+
+# Spellings int() reads as +1 and -1, and the separators str.split()
+# splits on.
+_PLUS = ["1", "+1", "01", "+0_1"]
+_MINUS = ["-1", "-01", "-0_1"]
+_SEPARATORS = [" ", "\t", "  ", "\x0b", " \x1f"]
+
+
+def _text_rows(rng, spins) -> list[list[str]]:
+    return [[rng.choice(_PLUS) if s > 0 else rng.choice(_MINUS) for s in row]
+            for row in spins]
+
+
+def _text_file(rng, p, n, rows, tail="\n") -> bytes:
+    lines = [rng.choice(["", " "]) + "".join(
+                 tok + (rng.choice(_SEPARATORS) if i < len(row) - 1 else "")
+                 for i, tok in enumerate(row))
+             for row in rows]
+    ends = [rng.choice(["\n", "\r\n", "\r", " \n"]) for _ in lines[:-1]]
+    body = "".join(line + end for line, end in zip(lines, ends)) + lines[-1]
+    return f"{p} {n}\n{body}{tail}".encode("ascii")
+
+
+def _outcome(read, path):
+    try:
+        return read(path).data.tolist()
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [1, 2, 9])
+@pytest.mark.parametrize("n", [1, 257])
+def test_text_reader_matches_the_row_loop(tmp_path, p, n):
+    rng = np.random.default_rng(10 * p + n)
+    spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p))
+    path = tmp_path / "s.txt"
+    for tail in ["\n", "", "\n\n \t\n"]:
+        path.write_bytes(_text_file(rng, p, n, _text_rows(rng, spins), tail))
+        assert read_samples_text(path).data.tolist() == spins.tolist()
+        assert _old_read_text(path).data.tolist() == spins.tolist()
+    write_samples_text(SampleSet(p, n, spins), path)
+    assert np.array_equal(read_samples_text(path).data, spins)
+
+    # Each kind of bad file fails with the row loop's message: the
+    # first bad row, and in it the first failing check.
+    def spoiled(edit, k):
+        rows = _text_rows(rng, spins)
+        edit(rows, k)
+        return _text_file(rng, p, n, rows)
+
+    def put(token):
+        def edit(rows, k):
+            rows[k][rng.integers(p)] = token
+        return edit
+
+    edits = [put(t) for t in ["2", "0", "-3", "x", "1_", "+-1", "1.0", "\x00"]]
+    edits += [
+        lambda rows, k: rows[k].pop(),
+        lambda rows, k: rows[k].append("1"),
+        lambda rows, k: rows.insert(k, []),
+        lambda rows, k: rows.append(["1"] * p),
+        lambda rows, k: rows.__setitem__(k, ["x"] * (p + 1)),
+        lambda rows, k: rows[k].__setitem__(0, "y") or rows[-1].append("5"),
+    ]
+    for edit in edits:
+        for k in {0, n // 2, n - 1}:
+            path.write_bytes(spoiled(edit, k))
+            expected = _outcome(_old_read_text, path)
+            assert _outcome(read_samples_text, path) == expected
+    for more in [1, n]:
+        path.write_bytes(_text_file(rng, p, n + more, _text_rows(rng, spins)))
+        assert _outcome(read_samples_text, path) == _outcome(_old_read_text,
+                                                             path)

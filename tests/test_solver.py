@@ -137,3 +137,17 @@ def test_saturation_is_flagged_per_row():
                             SolverConfig(lam=0.05, max_iterations=1), x0)
     assert [r.saturated for r in reports] == [u == 0 for u in range(9)]
     assert all(np.isfinite(r.objective_value) for r in reports)
+
+
+def test_restart_from_own_solution_takes_no_iterations():
+    s = sample_exact(make_grid_model(3, 0.7), 4000, seed=31)
+    cfg = SolverConfig(lam=0.03, kkt_tolerance=1e-8)
+    cold = minimize_rows(s.tally, range(9), cfg)
+    assert all(r.converged for r in cold)
+    x0 = np.array([np.insert(r.solution, u, 0.0) for u, r in enumerate(cold)])
+    warm = minimize_rows(s.tally, range(9), cfg, x0)
+    assert [r.iterations for r in warm] == [0] * 9
+    assert [r.evaluations for r in warm] == [1] * 9
+    for a, b in zip(cold, warm):
+        assert b.converged
+        assert np.array_equal(a.solution, b.solution)
