@@ -113,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     nmn.add_argument("--out", default=None, help="override manifest.out")
     nmn.add_argument("--trials", type=int, default=None,
                      help="override manifest.trials")
-    nmn.add_argument("--threads", type=int, default=None)
 
     err = sub.add_parser("error-curve", help="coupling error vs sample size")
     err.add_argument("--manifest", required=True)
@@ -243,8 +242,7 @@ def _load_manifest(args) -> ExperimentManifest:
         except (ValueError, RecursionError) as exc:
             raise InputError(f"malformed manifest JSON: {exc}") from exc
     # Overrides go through the constructor, so they are validated too.
-    overrides = {"out": args.out, "trials": args.trials,
-                 "threads": getattr(args, "threads", None)}
+    overrides = {"out": args.out, "trials": args.trials}
     return dataclasses.replace(
         manifest_from_dict(obj),
         **{k: v for k, v in overrides.items() if v is not None})
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapabilityError as exc:

@@ -67,8 +67,6 @@ def lambda_schedule(p: int, n: int, epsilon: float, mode: str = "structure") -> 
 
 
 def _with_penalty(lam: float, config: SolverConfig | None) -> SolverConfig:
-    if not 0 <= lam < math.inf:  # NaN fails too
-        raise InputError("lam must be finite and >= 0")
     return replace(config if config is not None else SolverConfig(), lam=lam)
 
 

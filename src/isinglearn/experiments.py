@@ -11,11 +11,11 @@ at which structure recovery succeeds in all `trials` independent
 trials: doubling from n_start to bracket the transition, then
 bisection until the bracket's relative width is at most rel_width.
 The reported n_min is the bracket's upper end (a confirmed success).
-Neighbouring candidates fit nearly the same couplings, so each is warm
-started: every trial of a candidate starts its fits from trial 0's
-coupling matrix at the candidate before it, and a width's first
-candidate starts from 0. Trial 0 always runs and the rule does not
-look at threads, so the pool size changes wall time, never a row.
+A candidate's trials run in turn and its first failing trial settles
+it. Neighbouring candidates fit nearly the same couplings, so each is
+warm started: every trial of a candidate starts its fits from trial
+0's coupling matrix at the candidate before it, and a width's first
+candidate starts from 0.
 
 run_error_curve fits every node at each listed n with the node-mode
 penalty schedule and reports the mean l2 coupling error.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +49,8 @@ class ExperimentManifest:
     kind "nmin_vs_p" sweeps grid sides at fixed coupling magnitude
     (param column = p); "nmin_vs_beta" sweeps coupling magnitudes at a
     fixed side (param column = beta); "error_vs_n" sweeps the sample
-    sizes in ns on one fixed model. threads sizes the pool that runs
-    an nmin candidate's trials (the rows do not depend on it);
-    error_vs_n runs its trials in turn, each from 0, and takes only
-    threads = 1.
+    sizes in ns on one fixed model. Trials run in turn; error_vs_n
+    fits each from 0.
     """
 
     kind: str
@@ -74,7 +71,6 @@ class ExperimentManifest:
     thinning_sweeps: int = 10
     kkt_tolerance: float = 1e-6
     max_iterations: int = 200000
-    threads: int = 1
     out: str | None = None
 
     def __post_init__(self):
@@ -103,11 +99,6 @@ class ExperimentManifest:
             raise InputError("rel_width must lie in (0, 1)")
         if self.n_start < 1 or self.n_max < self.n_start:
             raise InputError("need 1 <= n_start <= n_max")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
-        if self.kind == "error_vs_n" and self.threads != 1:
-            raise InputError("error_vs_n runs its trials in turn; "
-                             "threads must be 1")
 
 
 def manifest_from_dict(obj: dict) -> ExperimentManifest:
@@ -117,8 +108,8 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
         raise InputError(f"bad manifest: {exc}") from exc
 
 
-_INTEGER_FIELDS = ("side", "burn_in_sweeps", "thinning_sweeps",
-                   "max_iterations")
+_INTEGER_FIELDS = ("side", "trials", "n_start", "burn_in_sweeps",
+                   "thinning_sweeps", "max_iterations")
 _NUMBER_FIELDS = ("beta", "epsilon", "kkt_tolerance")
 
 
@@ -170,44 +161,26 @@ def _solver_config(manifest: ExperimentManifest) -> SolverConfig:
                         max_iterations=manifest.max_iterations)
 
 
-def _recovery_trial(manifest: ExperimentManifest, model: IsingModel, n: int,
-                    lam: float, threshold: float, trial_seed: int,
-                    start: np.ndarray | None):
-    """One trial fitted from the coupling matrix start (None: from 0);
-    returns whether it recovered the edges, and its coupling matrix."""
-    samples = _draw(manifest, model, n, trial_seed)
-    estimates = fit_all_nodes(samples, lam, _solver_config(manifest), start)
-    edge_set = edges_from_estimates(estimates, threshold, model.p)
-    return (perfect_recovery(edge_set, model),
-            coupling_matrix(estimates, model.p))
-
-
 def _all_trials_succeed(manifest: ExperimentManifest, model: IsingModel,
                         n: int, param_index: int, attempt: int,
                         start: np.ndarray | None):
     """Whether every trial at n recovers the edges, and trial 0's
-    coupling matrix. Trials run in batches of `threads`, and a batch
-    with a failure ends the candidate; trial 0 is in the first batch,
-    so it always runs."""
+    coupling matrix. Trials run in turn, each fitted from the coupling
+    matrix start (None: from 0), and the first failure ends the
+    candidate, so trial 0 always runs."""
     lam = lambda_schedule(model.p, n, manifest.epsilon, mode="structure")
-    threshold = model.min_coupling
-    seeds = [
-        _seed_int(_derived_seed(manifest.seed, 1, param_index, attempt, t))
-        for t in range(manifest.trials)
-    ]
-
-    def trial(seed: int):
-        return _recovery_trial(manifest, model, n, lam, threshold, seed,
-                               start)
-
-    with ThreadPoolExecutor(max_workers=manifest.threads) as pool:
-        run = map if manifest.threads == 1 else pool.map
-        for lo in range(0, len(seeds), manifest.threads):
-            results = list(run(trial, seeds[lo:lo + manifest.threads]))
-            if lo == 0:
-                first = results[0][1]
-            if not all(ok for ok, _ in results):
-                return False, first
+    config = _solver_config(manifest)
+    for t in range(manifest.trials):
+        seed = _seed_int(_derived_seed(manifest.seed, 1, param_index,
+                                       attempt, t))
+        samples = _draw(manifest, model, n, seed)
+        estimates = fit_all_nodes(samples, lam, config, start)
+        if t == 0:
+            first = coupling_matrix(estimates, model.p)
+        edge_set = edges_from_estimates(estimates, model.min_coupling,
+                                        model.p)
+        if not perfect_recovery(edge_set, model):
+            return False, first
     return True, first
 
 

@@ -179,6 +179,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
                             "--out", str(tmp_path / "y")]) == 2
     assert main(["learn", "--samples", str(tmp_path),
                  "--threshold", "0.5"]) == 2  # a directory
+    # Paths under a regular file.
+    assert main(["learn", "--samples", str(good_model / "x"),
+                 "--threshold", "0.5"]) == 2
+    samples = tmp_path / "samples.txt"
+    samples.write_text("2 2\n1 1\n1 -1\n")
+    assert main(["learn", "--samples", str(samples), "--threshold", "0.5",
+                 "--out", str(good_model / "x")]) == 2
     capsys.readouterr()
 
 
@@ -360,19 +367,19 @@ def test_error_curve_subcommand(tmp_path, capsys):
     assert len(lines) == 4
 
 
-def test_error_curve_rejects_threads(tmp_path, capsys):
-    # error_vs_n runs its trials in turn, so a thread count there would
-    # be accepted and do nothing; the manifest field and the flag are
-    # refused instead.
+@pytest.mark.parametrize("command", ["nmin", "error-curve"])
+def test_manifest_threads_is_refused(tmp_path, capsys, command):
+    # Trials run in turn, so neither runner takes a thread count: the
+    # manifest field is unknown and the flag does not parse.
+    fields = {"kind": "nmin_vs_beta", "betas": [0.8], "n_start": 250} \
+        if command == "nmin" else {"kind": "error_vs_n", "ns": [400]}
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({
-        "kind": "error_vs_n", "seed": 3, "side": 2, "beta": 0.8,
-        "ns": [400], "trials": 1, "threads": 2,
-    }))
-    assert main(["error-curve", "--manifest", str(manifest)]) == 2
+    manifest.write_text(json.dumps({"seed": 3, "side": 2, "beta": 0.8,
+                                    "trials": 1, "threads": 2, **fields}))
+    assert main([command, "--manifest", str(manifest)]) == 2
     assert "threads" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["error-curve", "--manifest", str(manifest), "--threads", "2"])
+        main([command, "--manifest", str(manifest), "--threads", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -383,7 +390,6 @@ def test_manifest_overrides_are_validated(tmp_path, capsys):
         "kind": "nmin_vs_beta", "seed": 2, "side": 2, "betas": [0.8],
         "trials": 1, "n_start": 250,
     }))
-    assert main(["nmin", "--manifest", str(manifest), "--threads", "0"]) == 2
     assert main(["nmin", "--manifest", str(manifest), "--trials", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
 
@@ -455,6 +461,9 @@ def test_sample_larger_than_memory_exits_3(tmp_path, capsys, model, flags):
     ("nmin", "kkt_tolerance", [1e-6]),
     ("error-curve", "max_iterations", True),
     ("nmin", "out", 3),
+    ("nmin", "trials", 2.5),
+    ("error-curve", "trials", 1.5),
+    ("nmin", "n_start", 250.5),
 ])
 def test_mistyped_manifest_field_exits_2(tmp_path, capsys, command, field,
                                          value):

@@ -18,8 +18,6 @@ def test_manifest_validation():
     with pytest.raises(InputError):
         ExperimentManifest(kind="error_vs_n", seed=1, trials=0)
     with pytest.raises(InputError):
-        ExperimentManifest(kind="error_vs_n", seed=1, threads=2)
-    with pytest.raises(InputError):
         ExperimentManifest(kind="nmin_vs_beta", seed=1, rel_width=0.0)
     with pytest.raises(InputError):
         ExperimentManifest(kind="nmin_vs_beta", seed=1, n_start=100, n_max=10)
@@ -153,23 +151,14 @@ def test_nmin_search_enumerates_each_model_once(monkeypatch):
     assert len(drawn) > 2 * len(enumerated)
 
 
-def _glass_nmin_manifest(threads):
+def _glass_nmin_manifest():
     return ExperimentManifest(kind="nmin_vs_beta", seed=7,
                               family="spin_glass", side=3,
                               betas=(0.6, 0.9), trials=3, n_start=1000,
-                              rel_width=0.25, kkt_tolerance=1e-6,
-                              threads=threads)
+                              rel_width=0.25, kkt_tolerance=1e-6)
 
 
-def test_nmin_rows_do_not_depend_on_threads():
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_seconds"}
-                          for r in rows]
-    one = run_nmin_search(_glass_nmin_manifest(1))
-    assert len(one) == 2 and all(r["success"] for r in one)
-    assert strip(run_nmin_search(_glass_nmin_manifest(2))) == strip(one)
-
-
-def _candidate_starts(monkeypatch, threads):
+def _candidate_starts(monkeypatch):
     """Per candidate n, in order: its penalty, the start all of its
     trials were fitted from, and the coupling matrices they found."""
     fits = []
@@ -181,7 +170,7 @@ def _candidate_starts(monkeypatch, threads):
         return estimates
 
     monkeypatch.setattr(experiments, "fit_all_nodes", recording)
-    run_nmin_search(_glass_nmin_manifest(threads))
+    run_nmin_search(_glass_nmin_manifest())
     candidates = []
     for lam, x0, theta in fits:
         if (not candidates or lam != candidates[-1][0]
@@ -195,14 +184,41 @@ def test_nmin_trials_start_from_the_previous_candidates_first_trial(
         monkeypatch):
     # Every trial of a candidate starts from trial 0's coupling matrix
     # at the candidate before it; each width's first candidate from 0.
-    one = _candidate_starts(monkeypatch, 1)
-    firsts = [i for i, (_, x0, _) in enumerate(one) if x0 is None]
+    candidates = _candidate_starts(monkeypatch)
+    firsts = [i for i, (_, x0, _) in enumerate(candidates) if x0 is None]
     assert firsts[0] == 0 and len(firsts) == 2
-    for i, (_, x0, _) in enumerate(one):
+    for i, (_, x0, _) in enumerate(candidates):
         if i not in firsts:
-            assert np.array_equal(x0, one[i - 1][2][0])
-    # A pool runs the same candidates from the same starts.
-    two = _candidate_starts(monkeypatch, 2)
-    assert [lam for lam, _, _ in two] == [lam for lam, _, _ in one]
-    for (_, a, _), (_, b, _) in zip(one, two):
-        assert (a is None and b is None) or np.array_equal(a, b)
+            assert np.array_equal(x0, candidates[i - 1][2][0])
+
+
+def test_first_failing_trial_ends_a_candidate(monkeypatch):
+    # Per candidate, in order: whether each of its trials recovered.
+    candidates = []
+    judge = experiments._all_trials_succeed
+    recover = experiments.perfect_recovery
+
+    def judging(*args):
+        candidates.append([])
+        ok, first = judge(*args)
+        assert ok == all(candidates[-1])
+        return ok, first
+
+    def recording(edge_set, model):
+        ok = recover(edge_set, model)
+        candidates[-1].append(ok)
+        return ok
+
+    monkeypatch.setattr(experiments, "_all_trials_succeed", judging)
+    monkeypatch.setattr(experiments, "perfect_recovery", recording)
+    manifest = _glass_nmin_manifest()
+    run_nmin_search(manifest)
+    failed = [oks for oks in candidates if not all(oks)]
+    assert failed and len(failed) < len(candidates)
+    for oks in candidates:
+        if all(oks):
+            assert len(oks) == manifest.trials
+        else:
+            assert oks.index(False) == len(oks) - 1
+    # Some candidate failed before its last trial and ran no further.
+    assert any(len(oks) < manifest.trials for oks in failed)

@@ -96,7 +96,7 @@ VALID_MANIFEST = dict(
     kind="nmin_vs_beta", seed=1, family="spin_glass", side=3, sides=[3],
     beta=0.5, betas=[0.5], ns=[100], trials=2, epsilon=0.05, n_start=10,
     n_max=100, rel_width=0.5, sampler="glauber", burn_in_sweeps=5,
-    thinning_sweeps=1, kkt_tolerance=1e-6, max_iterations=10, threads=1,
+    thinning_sweeps=1, kkt_tolerance=1e-6, max_iterations=10,
     out="out.csv")
 manifest_dicts = st.builds(
     lambda drop, changes: {**{k: v for k, v in VALID_MANIFEST.items()
