@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapabilityError, InputError
 from .estimator import (_check_threshold, edges_from_estimates,
                         fit_all_nodes, fit_node, lambda_schedule,
-                        result_to_json)
+                        report_fields, result_to_json)
 from .experiments import (ExperimentManifest, manifest_from_dict,
                           run_error_curve, run_nmin_search)
 from .model import (load_model, make_grid_model, make_random_model,
@@ -184,14 +184,7 @@ def _cmd_fit(args) -> int:
         "lambda": est.lambda_used,
         "others": [int(v) for v in np.delete(np.arange(samples.p), est.u)],
         "theta_hat": [float(v) for v in est.theta_hat],
-        "iterations": est.report.iterations,
-        "kkt": est.report.final_kkt_residual,
-        "converged": est.report.converged,
-        "saturated": est.report.saturated,
-        "evaluations": est.report.evaluations,
-        "backtracks": est.report.backtracks,
-        "restarts": est.report.restarts,
-        "stalls": est.report.stalls,
+        **report_fields(est.report),
     }
     _emit(json.dumps(payload, indent=2), args.out)
     return EXIT_OK if est.report.converged else EXIT_NOT_CONVERGED

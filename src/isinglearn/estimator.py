@@ -145,6 +145,21 @@ def square_error(theta_hat, model: IsingModel, u: int) -> float:
     return float(np.linalg.norm(arr - truth))
 
 
+def report_fields(report: SolveReport) -> dict:
+    """A solve's certificate and counters, as the JSON node reports
+    carry them."""
+    return {
+        "iterations": report.iterations,
+        "kkt": report.final_kkt_residual,
+        "converged": report.converged,
+        "saturated": report.saturated,
+        "evaluations": report.evaluations,
+        "backtracks": report.backtracks,
+        "restarts": report.restarts,
+        "stalls": report.stalls,
+    }
+
+
 def result_to_json(lam: float, alpha_threshold: float, edge_set: EdgeSet,
                    estimates: list[NodeEstimate],
                    run: dict | None = None) -> str:
@@ -158,20 +173,8 @@ def result_to_json(lam: float, alpha_threshold: float, edge_set: EdgeSet,
             {"i": i, "j": j, "weight": edge_set.weights[(i, j)]}
             for i, j in edge_set.sorted_edges()
         ],
-        "node_reports": [
-            {
-                "u": est.u,
-                "iterations": est.report.iterations,
-                "kkt": est.report.final_kkt_residual,
-                "converged": est.report.converged,
-                "saturated": est.report.saturated,
-                "evaluations": est.report.evaluations,
-                "backtracks": est.report.backtracks,
-                "restarts": est.report.restarts,
-                "stalls": est.report.stalls,
-            }
-            for est in estimates
-        ],
+        "node_reports": [{"u": est.u, **report_fields(est.report)}
+                         for est in estimates],
         **(run or {}),
     }
     return json.dumps(obj, indent=2)

@@ -74,6 +74,10 @@ class ExperimentManifest:
     out: str | None = None
 
     def __post_init__(self):
+        # A string or object would be read as its characters or keys.
+        if isinstance(self.betas, (str, dict)):
+            raise InputError(f"manifest field betas takes a list of "
+                             f"numbers, got {self.betas!r}")
         # operator.index takes only integers (numpy ones too), float()
         # only numbers or numeric strings. A wrong type in a field
         # compared below raises TypeError, which manifest_from_dict reports.

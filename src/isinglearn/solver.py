@@ -32,11 +32,12 @@ The rows are independent problems, but they share their data, so one
 loop advances all of them in lockstep: every row keeps its own step,
 momentum and restart state, each round's evaluations of all unfinished
 rows go through one pass over the design (screening.evaluate_rows), and
-a row drops out once it converges, stalls or reaches max_iterations.
-Each row's report counts its evaluations, backtracks, momentum restarts
-and stalls. minimize(view, config) is the one-row case: a view is the
-shared design plus its focal vertex, so one vertex is solved on the
-same data.
+each round starts by writing out the rows that have converged (at the
+start point too), stalled or reached max_iterations, which then drop
+out. Each row's report counts its evaluations, backtracks, momentum
+restarts and stalls. minimize(view, config) is the one-row case: a view
+is the shared design plus its focal vertex, so one vertex is solved on
+the same data.
 
 Convergence is declared per row on the subgradient optimality residual
 (kkt_residual below), not on objective or iterate drift.
@@ -64,8 +65,6 @@ class SolverConfig:
     lam: float = 0.0
     kkt_tolerance: float = 1e-7
     max_iterations: int = 50000
-    acceleration: bool = True
-    track_history: bool = False
 
     def __post_init__(self):
         # Written so that NaN fails too; an infinite penalty would make
@@ -92,9 +91,6 @@ class SolveReport:
     backtracks: int = 0
     restarts: int = 0
     stalls: int = 0
-    # Accepted composite objectives, first entry at the starting point;
-    # only filled when SolverConfig.track_history is set.
-    objective_history: list[float] | None = None
 
 
 def soft_threshold(x, t):
@@ -158,38 +154,46 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
     value_x, grad_x, saturated = evaluate_rows(design, rows, x)
     obj_x = value_x + lam * np.abs(x).sum(axis=1)
     residual = _kkt_rows(grad_x, x, lam)
-    history = [[float(o)] for o in obj_x] if config.track_history else None
     # Per-row counters, indexed like rows. evals counts the start and
     # the momentum points; each iteration's candidate and each backtrack
     # are added at the end.
     evals = np.ones(r, dtype=np.int64)
     backtracks, restarts, stalls = (np.zeros(r, dtype=np.int64)
                                     for _ in range(3))
-
-    # A row's results, written when it finishes; rows still running at
-    # the iteration cap keep their last accepted state.
-    out_x, out_obj, out_res = x.copy(), obj_x.copy(), residual.copy()
-    out_sat = saturated.copy()
-    out_iter = np.full(r, config.max_iterations)
-    out_conv = residual <= tol
-    out_iter[out_conv] = 0
+    # A row's results, written once, in the round after it finishes; it
+    # converged iff its residual is within tol.
+    out_x, out_obj, out_res = np.empty((r, p)), np.empty(r), np.empty(r)
+    out_sat, out_iter = np.empty(r, dtype=bool), np.empty(r, dtype=np.int64)
 
     # Per-row state, compacted to the unfinished rows. y_is_x marks rows
-    # whose momentum point is their iterate itself (at the start, after
-    # a restart, or without acceleration): there a rejected step is a
-    # stall, not an overshoot.
-    running = ~out_conv
-    pos, u = np.flatnonzero(running), rows[running]
-    x, value_x, grad_x = x[running], value_x[running], grad_x[running]
-    obj_x, residual, saturated = (obj_x[running], residual[running],
-                                  saturated[running])
+    # whose momentum point is their iterate itself (at the start or
+    # after a restart): there a rejected step is a stall, not an
+    # overshoot.
+    pos, u = np.arange(r), rows
     x_prev = x.copy()
     y, value_y, grad_y = x.copy(), value_x.copy(), grad_x.copy()
-    y_is_x = np.ones(pos.size, dtype=bool)
-    t_mom = np.ones(pos.size)
-    step = np.full(pos.size, _INITIAL_STEP)
+    y_is_x = np.ones(r, dtype=bool)
+    t_mom = np.ones(r)
+    step = np.full(r, _INITIAL_STEP)
+    done = residual <= tol
 
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(config.max_iterations + 1):
+        # Rows finish when they converge (at the start too) or stall, and
+        # all that remain at the iteration cap; each keeps its last
+        # accepted state.
+        if iteration == config.max_iterations:
+            done = np.ones(pos.size, dtype=bool)
+        if done.any():
+            i = pos[done]
+            out_x[i], out_obj[i], out_res[i] = (x[done], obj_x[done],
+                                                residual[done])
+            out_sat[i], out_iter[i] = saturated[done], iteration
+            keep = ~done
+            (pos, u, x, x_prev, y, value_x, grad_x, value_y, grad_y, obj_x,
+             residual, saturated, y_is_x, t_mom, step) = (
+                a[keep] for a in (pos, u, x, x_prev, y, value_x, grad_x,
+                                  value_y, grad_y, obj_x, residual,
+                                  saturated, y_is_x, t_mom, step))
         if pos.size == 0:
             break
         # Backtracking: shrink each row's step until the quadratic model
@@ -242,37 +246,22 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             x_prev, x, value_x, grad_x, obj_x = (x, cand, val_cand,
                                                  grad_cand, obj_cand)
             saturated |= sat_cand
-        if history is not None:
-            for i, o in zip(pos[acc], obj_cand[acc]):
-                history[i].append(float(o))
         residual[acc] = _kkt_rows(grad_x[acc], x[acc], lam)
         # A running row's residual is above tol until an accepted step
         # brings it down; a rejected row finishes only if it stalled at
         # the smallest step.
-        conv = residual <= tol
-        done = conv | (step <= _MIN_STEP)
+        done = (residual <= tol) | (step <= _MIN_STEP)
         if rejected:
             done = np.where(worse, stall & (step <= _MIN_STEP), done)
-
-        finished = done.any()
-        if finished:
-            i = pos[done]
-            out_x[i], out_obj[i], out_res[i] = (x[done], obj_x[done],
-                                                residual[done])
-            out_sat[i], out_conv[i] = saturated[done], conv[done]
-            out_iter[i] = iteration
+        if done.any():
             acc = np.flatnonzero(~(worse | done))
 
         # Momentum points, evaluated only for the accepted rows that
         # continue.
         x_acc = x[acc]
-        k = x_acc.shape[0]
-        if k:
-            if config.acceleration:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom[acc] ** 2))
-                coef = (t_mom[acc] - 1.0) / t_next
-            else:
-                t_next, coef = t_mom[acc], np.zeros(k)
+        if x_acc.shape[0]:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom[acc] ** 2))
+            coef = (t_mom[acc] - 1.0) / t_next
             y_new = x_acc + coef[:, None] * (x_acc - x_prev[acc])
             value_y[acc], grad_y[acc], sat = evaluate_rows(design, u[acc],
                                                            y_new)
@@ -280,26 +269,15 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             y[acc] = y_new
             saturated[acc] |= sat
             t_mom[acc] = t_next
-            y_is_x[acc] = not config.acceleration
+            y_is_x[acc] = False
             step[acc] *= _STEP_GROWTH
 
-        if finished:
-            keep = ~done
-            (pos, u, x, x_prev, y, value_x, grad_x, value_y, grad_y, obj_x,
-             residual, saturated, y_is_x, t_mom, step) = (
-                a[keep] for a in (pos, u, x, x_prev, y, value_x, grad_x,
-                                  value_y, grad_y, obj_x, residual,
-                                  saturated, y_is_x, t_mom, step))
-
-    out_x[pos], out_obj[pos], out_res[pos], out_sat[pos] = (
-        x, obj_x, residual, saturated)
     evals += out_iter + backtracks
     return [SolveReport(np.delete(out_x[i], rows[i]), int(out_iter[i]),
                         float(out_res[i]), float(out_obj[i]),
-                        bool(out_conv[i]), bool(out_sat[i]),
+                        bool(out_res[i] <= tol), bool(out_sat[i]),
                         int(evals[i]), int(backtracks[i]), int(restarts[i]),
-                        int(stalls[i]),
-                        history[i] if history is not None else None)
+                        int(stalls[i]))
             for i in range(r)]
 
 

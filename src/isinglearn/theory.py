@@ -56,6 +56,8 @@ from .screening import (NodeView, evaluate_rows, remainder_kernel,
                         taylor_remainder)
 
 _CHUNK = 1 << 16
+# Smallest ||delta||_2 restricted_convexity_check draws.
+_MIN_NORM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -273,23 +275,20 @@ class RscReport:
     floor: float
     radius: float
     n: int
-    required_n: float
     passed: bool
 
 
 def restricted_convexity_check(view: NodeView, model: IsingModel, u: int,
-                               trials: int, seed: int,
-                               radius: float | None = None,
-                               min_norm: float = 1e-3) -> RscReport:
+                               trials: int, seed: int) -> RscReport:
     """Monte-Carlo check that the loss remainder at the true couplings
     dominates floor * ||delta||_2^2 over the sparsity cone
-    ||delta||_1 <= 4 sqrt(d) ||delta||_2 with ||delta||_2 <= radius
-    (default 2/sqrt(d)). Directions are drawn with support size at
-    most 16 d, which lands them in the cone automatically."""
+    ||delta||_1 <= 4 sqrt(d) ||delta||_2 with _MIN_NORM <= ||delta||_2
+    <= radius, where the radius is 2/sqrt(d). Directions are drawn with
+    support size at most 16 d, which lands them in the cone
+    automatically."""
     params = params_from_model(model)
     d = params.d
-    if radius is None:
-        radius = 2.0 / math.sqrt(d)
+    radius = 2.0 / math.sqrt(d)
     if trials < 1:
         raise InputError("trials must be >= 1")
     k = view.others.size
@@ -306,17 +305,16 @@ def restricted_convexity_check(view: NodeView, model: IsingModel, u: int,
         delta[idx] = rng.standard_normal(support)
         # Pin the radius extremes in the first two trials.
         if t == 0:
-            norm = min_norm
+            norm = _MIN_NORM
         elif t == 1:
             norm = radius
         else:
-            norm = rng.uniform(min_norm, radius)
+            norm = rng.uniform(_MIN_NORM, radius)
         delta *= norm / np.linalg.norm(delta)
         ratio = taylor_remainder(view, theta_star, delta) / float(delta @ delta)
         worst = min(worst, ratio)
     passed = worst >= floor * (1.0 - 1e-10)
-    return RscReport(trials, worst, floor, radius, view.n,
-                     rsc_sample_bound(params, 0.05), passed)
+    return RscReport(trials, worst, floor, radius, view.n, passed)
 
 
 def _entry(name, passed, statistic, bound, **extra):

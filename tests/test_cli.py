@@ -464,6 +464,8 @@ def test_sample_larger_than_memory_exits_3(tmp_path, capsys, model, flags):
     ("nmin", "trials", 2.5),
     ("error-curve", "trials", 1.5),
     ("nmin", "n_start", 250.5),
+    ("nmin", "betas", "69"),
+    ("nmin", "betas", {"0.6": 1}),
 ])
 def test_mistyped_manifest_field_exits_2(tmp_path, capsys, command, field,
                                          value):
