@@ -8,9 +8,12 @@ the same science row for row.
 
 run_nmin_search estimates, per swept parameter value, the smallest n
 at which structure recovery succeeds in all `trials` independent
-trials: doubling from n_start to bracket the transition, then
-bisection until the bracket's relative width is at most rel_width.
-The reported n_min is the bracket's upper end (a confirmed success).
+trials. One loop narrows a bracket between the last failing and the
+last successful candidate: starting at n_start, it doubles n while no
+candidate has succeeded (giving up past n_max), halves it while none
+has failed, and otherwise bisects, until the bracket's relative width
+is at most rel_width. The reported n_min is the bracket's upper end
+(a confirmed success).
 A candidate's trials run in turn and its first failing trial settles
 it. Neighbouring candidates fit nearly the same couplings, so each is
 warm started: every trial of a candidate starts its fits from trial
@@ -23,7 +26,7 @@ penalty schedule and reports the mean l2 coupling error.
 
 from __future__ import annotations
 
-import math
+import itertools
 import operator
 import time
 from dataclasses import dataclass
@@ -40,6 +43,8 @@ from .solver import SolverConfig
 
 NMIN_CSV_HEADER = "param,n_min,trials,success,seed,wall_seconds"
 ERROR_CSV_HEADER = "n,mean_error,trials,seed,wall_seconds"
+# Element types that seed, sides, betas and ns refuse.
+_NOT_NUMBERS = frozenset((bool, str))
 
 
 @dataclass
@@ -78,10 +83,14 @@ class ExperimentManifest:
         if isinstance(self.betas, (str, dict)):
             raise InputError(f"manifest field betas takes a list of "
                              f"numbers, got {self.betas!r}")
-        # operator.index takes only integers (numpy ones too), float()
-        # only numbers or numeric strings. A wrong type in a field
-        # compared below raises TypeError, which manifest_from_dict reports.
+        # operator.index takes integers (numpy ones too), float()
+        # numbers, but both take bools and float() numeric strings too.
+        # A wrong type in a field compared below raises TypeError, which
+        # manifest_from_dict reports.
         try:
+            if not _NOT_NUMBERS.isdisjoint(map(type, (
+                    self.seed, *self.sides, *self.betas, *self.ns))):
+                raise TypeError("got a bool or a string")
             self.seed = operator.index(self.seed)
             self.sides = tuple(map(operator.index, self.sides))
             self.betas = tuple(map(float, self.betas))
@@ -102,6 +111,8 @@ class ExperimentManifest:
         if not 0.0 < self.rel_width < 1.0:
             raise InputError("rel_width must lie in (0, 1)")
         if self.n_start < 1 or self.n_max < self.n_start:
+            # A float or bool that fails this should name its field.
+            _check_run_fields(self)
             raise InputError("need 1 <= n_start <= n_max")
 
 
@@ -112,15 +123,16 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
         raise InputError(f"bad manifest: {exc}") from exc
 
 
-_INTEGER_FIELDS = ("side", "trials", "n_start", "burn_in_sweeps",
+_INTEGER_FIELDS = ("side", "trials", "n_start", "n_max", "burn_in_sweeps",
                    "thinning_sweeps", "max_iterations")
 _NUMBER_FIELDS = ("beta", "epsilon", "kkt_tolerance")
 
 
 def _check_run_fields(manifest: ExperimentManifest):
-    """Type-check the fields __post_init__ does not compare, once per
-    run: their values are checked where they are used, which a wrong
-    type would reach as a TypeError (or, for out, a file descriptor)."""
+    """Type-check the scalar fields, once per run: __post_init__'s
+    comparisons let floats and bools through, and the other fields are
+    checked where they are used, which a wrong type would reach as a
+    TypeError (or, for out, a file descriptor)."""
     for name in _INTEGER_FIELDS + _NUMBER_FIELDS:
         value = getattr(manifest, name)
         integer = name in _INTEGER_FIELDS
@@ -190,52 +202,31 @@ def _all_trials_succeed(manifest: ExperimentManifest, model: IsingModel,
 
 def _search_nmin(manifest: ExperimentManifest, model: IsingModel,
                  param_index: int):
-    """Doubling then bisection; returns (n_min, resolved). Each
-    candidate evaluation uses fresh derived seeds (attempt counter), so
-    no candidate is judged on recycled samples, and starts its fits
-    from trial 0's coupling matrix at the previous candidate."""
-    attempt = 0
-    start = None
-
-    def success(n: int) -> bool:
-        nonlocal attempt, start
-        attempt += 1
+    """One loop over the bracket (lo, hi] of the last failed (0: none
+    yet) and last successful (None: none yet) candidates: double while
+    nothing has succeeded, halve while nothing has failed, otherwise
+    bisect, until hi - lo <= max(rel_width * hi, 1). Returns (n_min,
+    resolved). Each candidate evaluation uses fresh derived seeds
+    (attempt counter), so no candidate is judged on recycled samples,
+    and starts its fits from trial 0's coupling matrix at the previous
+    candidate."""
+    lo, hi, n, start = 0, None, manifest.n_start, None
+    for attempt in itertools.count(1):
         ok, start = _all_trials_succeed(manifest, model, n, param_index,
                                         attempt, start)
-        return ok
-
-    n = manifest.n_start
-    if success(n):
-        hi = n
-        lo = 0
-        while hi > 1:
-            cand = max(1, hi // 2)
-            if cand == hi:
-                break
-            if success(cand):
-                hi = cand
-            else:
-                lo = cand
-                break
-        if hi == 1:
-            return 1, True
-    else:
-        lo = n
-        while True:
-            n *= 2
+        if ok:
+            hi = n
+        else:
+            lo = n
+        if hi is None:
+            n = 2 * lo
             if n > manifest.n_max:
                 return manifest.n_max, False
-            if success(n):
-                hi = n
-                break
-            lo = n
-    while hi - lo > manifest.rel_width * hi and hi - lo > 1:
-        mid = (lo + hi) // 2
-        if success(mid):
-            hi = mid
+        elif hi - lo <= max(manifest.rel_width * hi, 1):
+            return hi, True
         else:
-            lo = mid
-    return hi, True
+            # With lo = 0 this halves hi.
+            n = (lo + hi) // 2
 
 
 def run_nmin_search(manifest: ExperimentManifest) -> list[dict]:
@@ -268,7 +259,7 @@ def run_nmin_search(manifest: ExperimentManifest) -> list[dict]:
         })
     if manifest.out:
         write_rows_csv(manifest.out, NMIN_CSV_HEADER, [
-            [_fmt_param(r["param"]), r["n_min"], r["trials"],
+            [format(r["param"], ".17g"), r["n_min"], r["trials"],
              str(r["success"]).lower(), r["seed"], f"{r['wall_seconds']:.3f}"]
             for r in rows
         ])
@@ -284,16 +275,16 @@ def run_error_curve(manifest: ExperimentManifest) -> list[dict]:
     if not manifest.ns:
         raise InputError("error_vs_n needs a nonempty ns list")
     model = _model_for(manifest, 0, manifest.side, manifest.beta)
+    config = _solver_config(manifest)
     rows = []
     for idx, n in enumerate(manifest.ns):
         t0 = time.perf_counter()
+        lam = lambda_schedule(model.p, n, manifest.epsilon, mode="node")
         errors = []
         for t in range(manifest.trials):
             seed = _seed_int(_derived_seed(manifest.seed, 2, idx, t))
             samples = _draw(manifest, model, n, seed)
-            lam = lambda_schedule(model.p, n, manifest.epsilon, mode="node")
-            estimates = fit_all_nodes(samples, lam,
-                                      config=_solver_config(manifest))
+            estimates = fit_all_nodes(samples, lam, config)
             errors.extend(square_error(est.theta_hat, model, est.u)
                           for est in estimates)
         rows.append({
@@ -310,10 +301,6 @@ def run_error_curve(manifest: ExperimentManifest) -> list[dict]:
             for r in rows
         ])
     return rows
-
-
-def _fmt_param(value: float) -> str:
-    return format(value, ".17g")
 
 
 def write_rows_csv(path, header: str, rows) -> None:

@@ -165,14 +165,13 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
     out_x, out_obj, out_res = np.empty((r, p)), np.empty(r), np.empty(r)
     out_sat, out_iter = np.empty(r, dtype=bool), np.empty(r, dtype=np.int64)
 
-    # Per-row state, compacted to the unfinished rows. y_is_x marks rows
-    # whose momentum point is their iterate itself (at the start or
-    # after a restart): there a rejected step is a stall, not an
-    # overshoot.
+    # Per-row state, compacted to the unfinished rows. A row's momentum
+    # t is 1 exactly where its momentum point is its iterate itself (at
+    # the start or after a restart; every momentum update makes t at
+    # least 1.618): there a rejected step is a stall, not an overshoot.
     pos, u = np.arange(r), rows
     x_prev = x.copy()
     y, value_y, grad_y = x.copy(), value_x.copy(), grad_x.copy()
-    y_is_x = np.ones(r, dtype=bool)
     t_mom = np.ones(r)
     step = np.full(r, _INITIAL_STEP)
     done = residual <= tol
@@ -190,10 +189,10 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             out_sat[i], out_iter[i] = saturated[done], iteration
             keep = ~done
             (pos, u, x, x_prev, y, value_x, grad_x, value_y, grad_y, obj_x,
-             residual, saturated, y_is_x, t_mom, step) = (
+             residual, saturated, t_mom, step) = (
                 a[keep] for a in (pos, u, x, x_prev, y, value_x, grad_x,
                                   value_y, grad_y, obj_x, residual,
-                                  saturated, y_is_x, t_mom, step))
+                                  saturated, t_mom, step))
         if pos.size == 0:
             break
         # Backtracking: shrink each row's step until the quadratic model
@@ -223,17 +222,16 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
         worse = obj_cand > obj_x + 1e-15 * (1.0 + np.abs(obj_x))
         rejected = worse.any()
         if rejected:
+            # A plain step from x cannot descend: numerical stall.
+            stall = worse & (t_mom == 1.0)
+            stalls[pos[stall]] += 1
+            step[stall] *= _BACKTRACK_SHRINK
             # Momentum overshot: restart from the last accepted point.
-            restart = worse & ~y_is_x
+            restart = worse & ~stall
             y[restart], value_y[restart], grad_y[restart] = (
                 x[restart], value_x[restart], grad_x[restart])
             t_mom[restart] = 1.0
             restarts[pos[restart]] += 1
-            # A plain step from x cannot descend: numerical stall.
-            stall = worse & y_is_x
-            stalls[pos[stall]] += 1
-            y_is_x |= restart
-            step[stall] *= _BACKTRACK_SHRINK
             # An accepted candidate is the new iterate, with the value,
             # gradient and saturation flag of its own evaluation.
             acc = np.flatnonzero(~worse)
@@ -269,7 +267,6 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             y[acc] = y_new
             saturated[acc] |= sat
             t_mom[acc] = t_next
-            y_is_x[acc] = False
             step[acc] *= _STEP_GROWTH
 
     evals += out_iter + backtracks

@@ -466,6 +466,7 @@ def test_sample_larger_than_memory_exits_3(tmp_path, capsys, model, flags):
     ("nmin", "n_start", 250.5),
     ("nmin", "betas", "69"),
     ("nmin", "betas", {"0.6": 1}),
+    ("nmin", "n_max", 2.5),
 ])
 def test_mistyped_manifest_field_exits_2(tmp_path, capsys, command, field,
                                          value):

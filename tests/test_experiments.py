@@ -25,7 +25,8 @@ def test_manifest_validation():
         manifest_from_dict({"kind": "error_vs_n", "seed": 1, "bogus": 2})
     for bad in ({"ns": ["x"]}, {"ns": [1.5]}, {"ns": 100}, {"sides": ["4"]},
                 {"betas": ["x"]}, {"betas": [10 ** 400]}, {"seed": "abc"},
-                {"seed": 1.0}, {"seed": -1}):
+                {"seed": 1.0}, {"seed": -1}, {"seed": True}, {"ns": [True]},
+                {"sides": [True]}, {"betas": ["0.6"]}):
         with pytest.raises(InputError):
             manifest_from_dict({"kind": "error_vs_n", "seed": 1, **bad})
     m = manifest_from_dict({"kind": "error_vs_n", "seed": 7,
@@ -222,3 +223,37 @@ def test_first_failing_trial_ends_a_candidate(monkeypatch):
             assert oks.index(False) == len(oks) - 1
     # Some candidate failed before its last trial and ran no further.
     assert any(len(oks) < manifest.trials for oks in failed)
+
+
+@pytest.mark.parametrize("n_start, n_max, rel_width, succeeds, order, result", [
+    (1000, 32_000_000, 0.1, lambda n: n >= 28000,
+     [1000, 2000, 4000, 8000, 16000, 32000, 24000, 28000, 26000],
+     (28000, True)),
+    (1000, 32_000_000, 0.1, lambda n: n >= 300,
+     [1000, 500, 250, 375, 312, 281], (312, True)),
+    (8, 100, 0.1, lambda n: True, [8, 4, 2, 1], (1, True)),
+    (4, 8, 0.25, lambda n: False, [4, 8], (8, False)),
+    # Not monotone in n: the search trusts each outcome it sees.
+    (900, 10 ** 6, 0.1, lambda n: n % 3 == 0,
+     [900, 450, 225, 112, 168, 140, 154], (168, True)),
+])
+def test_nmin_search_order(monkeypatch, n_start, n_max, rel_width, succeeds,
+                           order, result):
+    # Doubling while nothing has succeeded, halving while nothing has
+    # failed, then bisection; each candidate gets the next attempt id
+    # and starts from the matrix the one before it returned.
+    calls, returned = [], [None]
+
+    def oracle(manifest, model, n, param_index, attempt, start):
+        calls.append((n, attempt, start))
+        returned.append(object())
+        return succeeds(n), returned[-1]
+
+    monkeypatch.setattr(experiments, "_all_trials_succeed", oracle)
+    manifest = ExperimentManifest(kind="nmin_vs_beta", seed=1,
+                                  n_start=n_start, n_max=n_max,
+                                  rel_width=rel_width)
+    assert experiments._search_nmin(manifest, None, 0) == result
+    assert [n for n, _, _ in calls] == order
+    assert [a for _, a, _ in calls] == list(range(1, len(order) + 1))
+    assert all(s is r for (_, _, s), r in zip(calls, returned))

@@ -179,3 +179,19 @@ def test_rows_finish_at_start_under_the_cap_and_at_it():
             assert b.iterations == cap and not b.converged
             assert b.final_kkt_residual > cfg.kkt_tolerance
     assert over >= 1
+
+
+def test_far_start_stalls_and_restarts():
+    # From a far start on 20 samples one row rejects a plain step from
+    # its iterate (a stall) and shrinks its step; others restart.
+    s = sample_exact(make_grid_model(3, 0.7), 20, seed=1)
+    x0 = np.random.default_rng(1).normal(scale=30, size=(9, 9))
+    reports = minimize_rows(s.tally, range(9),
+                            SolverConfig(lam=0.05, kkt_tolerance=1e-7,
+                                         max_iterations=1000), x0)
+    assert sum(r.stalls for r in reports) >= 1
+    assert sum(r.restarts for r in reports) >= 1
+    for r in reports:
+        assert 1 + r.iterations + r.backtracks <= r.evaluations
+        assert r.evaluations <= 2 * r.iterations + r.backtracks + 1
+        assert r.restarts + r.stalls <= r.iterations
