@@ -11,6 +11,7 @@ from isinglearn import (GlauberConfig, IsingModel, exact_distribution,
                         sample_exact, sample_glauber)
 
 # A model is just a vertex count plus a dict of upper-triangle couplings.
+# Its exact quantities read one enumeration, made on first use and kept.
 pair = IsingModel(2, {(0, 1): 0.5})
 print("two-spin model:", model_to_json(pair))
 print("log partition:", log_partition(pair))

@@ -96,8 +96,8 @@ def fit_all_nodes(samples: SampleSet, lam: float,
 
 
 def _check_threshold(alpha_threshold: float):
-    if not alpha_threshold > 0:  # NaN fails too
-        raise InputError("alpha_threshold must be positive")
+    if not 0 < alpha_threshold < math.inf:  # NaN fails too
+        raise InputError("alpha_threshold must be finite and positive")
 
 
 def coupling_matrix(estimates: list[NodeEstimate], p: int) -> np.ndarray:

@@ -7,7 +7,10 @@ sigma_j). Edges are stored canonically with i < j and a missing edge
 means a zero coupling.
 
 Exact quantities (partition function, probabilities, the full
-distribution) enumerate all 2**p configurations and are guarded by
+distribution, the exact sampler's CDF) read one enumeration of all 2**p
+configurations, made on the first use of any of them and kept, read
+only, on the model: a model is enumerated at most once, and an equal
+model built afresh enumerates again. Enumeration is guarded by
 ENUMERATION_LIMIT. Configuration index k encodes spins little-endian:
 spin i of configuration k is +1 iff bit i of k is set.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,6 +134,30 @@ class IsingModel:
         if not (0 <= u < self.p):
             raise InputError(f"vertex {u} out of range for p={self.p}")
 
+    # Derived from the frozen fields, these live and die with the model;
+    # cached_property writes the instance dict, so neither equality nor
+    # the frozen fields see them.
+    @cached_property
+    def _enumeration(self) -> tuple[np.ndarray, float]:
+        """The probabilities of all 2**p configurations (read-only) and
+        log Z, from one enumeration shifted by its largest exponent."""
+        weights = enumerate_exponents(self)
+        shift = float(weights.max())
+        weights -= shift
+        np.exp(weights, out=weights)
+        total = float(weights.sum())
+        weights /= total
+        weights.flags.writeable = False
+        return weights, shift + math.log(total)
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The cumulative probabilities, ending at exactly 1.0 (read-only)."""
+        cdf = np.cumsum(self._enumeration[0])
+        cdf[-1] = 1.0
+        cdf.flags.writeable = False
+        return cdf
+
 
 def beta_d(model: IsingModel) -> float:
     """Width parameter times max degree; 0 for edgeless models."""
@@ -180,62 +208,35 @@ def configurations_from_indices(indices, p: int) -> np.ndarray:
     return out
 
 
-def _exponents_for_indices(model: IsingModel, idx: np.ndarray) -> np.ndarray:
-    acc = np.zeros(idx.shape[0])
-    for (i, j), theta in model.couplings.items():
-        differ = ((idx >> np.uint64(i)) ^ (idx >> np.uint64(j))) & np.uint64(1)
-        acc += theta * (1.0 - 2.0 * differ.astype(np.float64))
-    return acc
-
-
 def enumerate_exponents(model: IsingModel) -> np.ndarray:
     """Energy exponent of every configuration, indexed 0..2**p-1."""
     _check_enumeration(model.p)
     total = 1 << model.p
-    out = np.empty(total)
+    out = np.zeros(total)
     for start in range(0, total, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, total)
         idx = np.arange(start, stop, dtype=np.uint64)
-        out[start:stop] = _exponents_for_indices(model, idx)
+        acc = out[start:stop]
+        for (i, j), theta in model.couplings.items():
+            differ = ((idx >> np.uint64(i)) ^ (idx >> np.uint64(j))) & np.uint64(1)
+            acc += theta * (1.0 - 2.0 * differ.astype(np.float64))
     return out
 
 
 def log_partition(model: IsingModel) -> float:
-    """Log of the normalizing constant, streamed over configuration
-    chunks with a running max-shift so no chunk overflows."""
-    _check_enumeration(model.p)
-    total = 1 << model.p
-    running_max = -np.inf
-    running_sum = 0.0
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        chunk = _exponents_for_indices(model, idx)
-        m = float(chunk.max())
-        s = float(np.sum(np.exp(chunk - m)))
-        if m <= running_max:
-            running_sum += s * math.exp(m - running_max)
-        else:
-            running_sum = running_sum * math.exp(running_max - m) + s
-            running_max = m
-    return running_max + math.log(running_sum)
+    """Log of the normalizing constant."""
+    return model._enumeration[1]
 
 
-def exact_probability(model: IsingModel, spins, *, log_z: float | None = None) -> float:
-    """Probability of one configuration; pass a precomputed log_partition
-    via log_z when evaluating many configurations of the same model."""
-    e = energy_exponent(model, spins)
-    if log_z is None:
-        log_z = log_partition(model)
-    return math.exp(e - log_z)
+def exact_probability(model: IsingModel, spins) -> float:
+    """Probability of one configuration."""
+    return math.exp(energy_exponent(model, spins) - model._enumeration[1])
 
 
 def exact_distribution(model: IsingModel) -> np.ndarray:
-    """Probabilities of all 2**p configurations (index = bit encoding)."""
-    exponents = enumerate_exponents(model)
-    m = exponents.max()
-    weights = np.exp(exponents - m)
-    return weights / weights.sum()
+    """Probabilities of all 2**p configurations (index = bit encoding).
+    The array is the model's own, shared by every call and read-only."""
+    return model._enumeration[0]
 
 
 def make_grid_model(side: int, beta: float, kind: str = "ferromagnet",
@@ -285,8 +286,8 @@ def make_random_model(p: int, edge_probability: float, alpha: float,
         raise InputError(f"p must be >= 2, got {p}")
     if not 0.0 <= edge_probability <= 1.0:
         raise InputError("edge_probability must lie in [0, 1]")
-    if not 0.0 < alpha <= beta:
-        raise InputError("need 0 < alpha <= beta")
+    if not 0.0 < alpha <= beta < math.inf:
+        raise InputError("need 0 < alpha <= beta < inf")
     rng = np.random.default_rng(seed)
     couplings = {}
     for i in range(p):

@@ -12,8 +12,8 @@ generator (RNG_ALGORITHM below names it for output metadata).
 A sample set is read through its tally (SampleSet.tally): a Design,
 the distinct configurations up to the global flip as int8 columns with
 their counts. An exact draw keeps its uniforms, counts its tally from
-them against the model's CDF (enumerated once per model) and decodes
-its rows only when data is first read. Designs built from weights over
+them against the CDF its model keeps and decodes its rows only when
+data is first read. Designs built from weights over
 configuration indices (multinomial counts, exact probabilities) have
 the same form, so every loss and second moment reads one kind of data.
 
@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .model import IsingModel, configurations_from_indices, exact_distribution
+from .model import IsingModel, configurations_from_indices
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -244,22 +244,14 @@ def _check_memory(nbytes: int, what: str):
 
 def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. configurations by inverse-CDF lookup on the full
-    enumerated distribution, whose CDF is built on the model's first
-    draw and kept on the model."""
+    enumerated distribution, through the CDF the model keeps."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     # The rows, once decoded, and the uniforms.
     _check_memory(n * (model.p + 8), f"{n} exact samples of p={model.p}")
-    cdf = model.__dict__.get("_cdf")
-    if cdf is None:
-        cdf = np.cumsum(exact_distribution(model))
-        cdf[-1] = 1.0
-        cdf.flags.writeable = False
-        # Derived from the frozen fields, it lives and dies with the model.
-        object.__setattr__(model, "_cdf", cdf)
     samples = SampleSet.__new__(SampleSet)
     samples.p, samples.n = model.p, n
-    samples._draw = (cdf, np.random.default_rng(seed).random(n))
+    samples._draw = (model._cdf, np.random.default_rng(seed).random(n))
     return samples
 
 

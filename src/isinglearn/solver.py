@@ -71,8 +71,8 @@ class SolverConfig:
         # the objective inf * 0 at every zero coordinate.
         if not 0 <= self.lam < math.inf:
             raise InputError("lam must be finite and >= 0")
-        if not self.kkt_tolerance > 0:
-            raise InputError("kkt_tolerance must be positive")
+        if not 0 < self.kkt_tolerance < math.inf:
+            raise InputError("kkt_tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
 

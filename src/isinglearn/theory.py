@@ -33,9 +33,9 @@ at 2 theta* (second moment 1), and every spin covariance is one
 second-moment sum over designs.
 
 verification_report runs the suite on one model and returns one entry
-per oracle with the measured statistic, the bound, and pass/fail. It
-enumerates the distribution once and hands the probabilities to every
-exact oracle, which builds its designs from them a chunk at a time.
+per oracle with the measured statistic, the bound, and pass/fail. Every
+exact oracle reads the model's one enumeration (exact_distribution) and
+builds its designs from it a chunk at a time.
 """
 
 from __future__ import annotations
@@ -208,10 +208,11 @@ def support_bound(model: IsingModel) -> float:
     return math.exp(beta_d(model))
 
 
-def _enumeration_designs(model: IsingModel, probs: np.ndarray):
-    """The exact distribution probs of model as designs of _CHUNK
+def _enumeration_designs(model: IsingModel):
+    """The exact distribution of model as designs of _CHUNK
     configurations each, built one at a time, so no more than one
     chunk's spins is held."""
+    probs = exact_distribution(model)
     for start in range(0, probs.size, _CHUNK):
         stop = min(start + _CHUNK, probs.size)
         yield _indexed_design(np.arange(start, stop, dtype=np.uint64),
@@ -225,13 +226,9 @@ def population_gradient_moments(model: IsingModel, u: int):
     Both are the population loss: the mean is its gradient at theta*,
     the second moment its value at 2 theta*."""
     model._check_vertex(u)
-    return _gradient_moments(model, u, exact_distribution(model))
-
-
-def _gradient_moments(model: IsingModel, u: int, probs: np.ndarray):
     row = np.insert(model.coupling_row(u), u, 0.0)
     mean, second = 0.0, 0.0
-    for design in _enumeration_designs(model, probs):
+    for design in _enumeration_designs(model):
         values, grads, _ = evaluate_rows(design, [u, u],
                                          np.stack([row, 2.0 * row]))
         mean = mean + grads[0]
@@ -243,8 +240,7 @@ def exact_pair_covariance(model: IsingModel, exclude: int) -> np.ndarray:
     """Population second-moment matrix of the spins other than
     exclude, by enumeration."""
     model._check_vertex(exclude)
-    return _second_moments(
-        _enumeration_designs(model, exact_distribution(model)), exclude)
+    return _second_moments(_enumeration_designs(model), exclude)
 
 
 class CovarianceFloor(NamedTuple):
@@ -255,14 +251,7 @@ class CovarianceFloor(NamedTuple):
 def covariance_floor_check(model: IsingModel, u: int) -> CovarianceFloor:
     """Smallest eigenvalue of the exact pair covariance excluding u,
     against the guaranteed floor exp(-2 beta d)/(d+1)."""
-    model._check_vertex(u)
-    return _covariance_floor(model, u, exact_distribution(model))
-
-
-def _covariance_floor(model: IsingModel, u: int,
-                      probs: np.ndarray) -> CovarianceFloor:
-    h = _second_moments(_enumeration_designs(model, probs), u)
-    min_eig = float(np.linalg.eigvalsh(h)[0])
+    min_eig = float(np.linalg.eigvalsh(exact_pair_covariance(model, u))[0])
     d = model.max_degree
     floor = math.exp(-2.0 * beta_d(model)) / (d + 1)
     return CovarianceFloor(min_eig, floor)
@@ -335,13 +324,12 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     if n < 1 or sets < 1:
         raise InputError("need n >= 1 and sets >= 1")
     params = params_from_model(model)
-    probs = exact_distribution(model)
     rng = np.random.default_rng(seed)
     entries = []
 
     def draw(size: int):
         """One multinomial draw of size samples, as a design."""
-        counts = rng.multinomial(size, probs)
+        counts = rng.multinomial(size, exact_distribution(model))
         nz = np.flatnonzero(counts)
         return _indexed_design(nz, counts[nz], model.p, size)
 
@@ -349,7 +337,7 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     worst_mean = 0.0
     worst_second = 0.0
     for u in range(model.p):
-        mean, second = _gradient_moments(model, u, probs)
+        mean, second = population_gradient_moments(model, u)
         worst_mean = max(worst_mean, float(np.abs(mean).max()))
         worst_second = max(worst_second, float(np.abs(second - 1.0).max()))
     entries.append(_entry("screening_mean_zero", worst_mean <= 1e-12,
@@ -398,7 +386,7 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     # Covariance eigenvalue floor, every focal vertex.
     worst_gap = math.inf
     for u in range(model.p):
-        got = _covariance_floor(model, u, probs)
+        got = covariance_floor_check(model, u)
         worst_gap = min(worst_gap, got.min_eigenvalue - got.floor)
     entries.append(_entry("covariance_eigenvalue_floor", worst_gap >= -1e-10,
                           worst_gap, 0.0))
@@ -410,7 +398,7 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     penalty_exceed = 0
     cov_exceed = 0
     delta_cov = math.sqrt(2.0 / n * math.log(model.p ** 2 / epsilon))
-    h_exact = _second_moments(_enumeration_designs(model, probs), u0)
+    h_exact = exact_pair_covariance(model, u0)
     for _ in range(sets):
         design_s = draw(n)
         g = screening_gradient(NodeView(design_s, u0, n), theta0)

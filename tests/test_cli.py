@@ -170,6 +170,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "m.json")]) == 2
     assert main(["gen-model", "--random", "4",
                  "--out", str(tmp_path / "m.json")]) == 2  # needs --seed
+    for widths in (["--alpha", "0.1", "--beta", "inf"],
+                   ["--alpha", "inf", "--beta", "inf"]):
+        assert main(["gen-model", "--random", "5", "--seed", "1", *widths,
+                     "--out", str(tmp_path / "m.json")]) == 2
     good_model = tmp_path / "good.json"
     assert main(["gen-model", "--grid", "2", "--out", str(good_model)]) == 0
     for argv in (["sample", "--model", str(good_model), "--n", "10"],
@@ -195,6 +199,9 @@ def test_input_errors_exit_2(tmp_path, capsys):
     ["learn", "--threshold", "0.5", "--kkt-tol", "nan"],
     ["fit", "--node", "0", "--lambda", "inf"],
     ["learn", "--threshold", "0.5", "--lambda", "inf"],
+    ["fit", "--node", "0", "--lambda", "0.1", "--kkt-tol", "inf"],
+    ["learn", "--threshold", "0.5", "--kkt-tol", "inf"],
+    ["learn", "--threshold", "inf"],
 ])
 def test_nan_knobs_exit_2(tmp_path, capsys, extra):
     path = tmp_path / "samples.txt"
@@ -203,7 +210,7 @@ def test_nan_knobs_exit_2(tmp_path, capsys, extra):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
 def test_learn_checks_threshold_before_fitting(tmp_path, capsys, monkeypatch,
                                                threshold):
     def no_fit(*args, **kwargs):

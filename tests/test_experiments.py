@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isinglearn import estimator, experiments, sampler
+from isinglearn import estimator, experiments
 from isinglearn import (ERROR_CSV_HEADER, ExperimentManifest, InputError,
                         NMIN_CSV_HEADER, loglog_slope, manifest_from_dict,
                         run_error_curve, run_nmin_search, semilog_slope,
@@ -127,29 +127,23 @@ def test_write_rows_csv_layout(tmp_path):
     assert lines[2:] == ["1,2", "3,4"]
 
 
-def test_nmin_search_enumerates_each_model_once(monkeypatch):
-    enumerated, drawn = [], []
-    enumerate_all = sampler.exact_distribution
+def test_nmin_search_enumerates_each_model_once(monkeypatch, enumerations):
+    drawn = []
     draw = experiments.sample_exact
-
-    def counting(model):
-        enumerated.append(model)
-        return enumerate_all(model)
 
     def drawing(model, n, seed):
         drawn.append(model)
         return draw(model, n, seed)
 
-    monkeypatch.setattr(sampler, "exact_distribution", counting)
     monkeypatch.setattr(experiments, "sample_exact", drawing)
     rows = run_nmin_search(ExperimentManifest(
         kind="nmin_vs_beta", seed=424242, family="spin_glass", side=3,
         betas=(0.6, 0.9), trials=2, rel_width=0.25))
     assert all(r["success"] for r in rows)
     # One enumeration per swept model, however many sets it draws.
-    assert len(enumerated) == 2 and enumerated[0] is not enumerated[1]
-    assert {id(m) for m in drawn} == {id(m) for m in enumerated}
-    assert len(drawn) > 2 * len(enumerated)
+    assert len(enumerations) == 2 and enumerations[0] is not enumerations[1]
+    assert {id(m) for m in drawn} == {id(m) for m in enumerations}
+    assert len(drawn) > 2 * len(enumerations)
 
 
 def _glass_nmin_manifest():

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from isinglearn import (CapabilityError, InputError, IsingModel, beta_d,
-                        energy_exponent, exact_distribution,
+                        covariance_floor_check, energy_exponent,
+                        exact_distribution, exact_pair_covariance,
                         exact_probability, log_partition, make_grid_model,
-                        make_random_model, model_from_json, model_to_json)
+                        make_random_model, model_from_json, model_to_json,
+                        population_gradient_moments, sample_exact,
+                        verification_report)
 from isinglearn.model import (configurations_from_indices, load_model,
                               save_model)
 
@@ -56,9 +59,7 @@ def test_two_spin_closed_forms():
     # Z = 2 e^{0.5} + 2 e^{-0.5}; P(sigma_0 = sigma_1) = 1/(1 + e^{-1}).
     m = IsingModel(2, {(0, 1): 0.5})
     assert log_partition(m) == pytest.approx(1.5064088680781681, abs=1e-14)
-    log_z = log_partition(m)
-    p_equal = (exact_probability(m, [1, 1], log_z=log_z)
-               + exact_probability(m, [-1, -1], log_z=log_z))
+    p_equal = exact_probability(m, [1, 1]) + exact_probability(m, [-1, -1])
     assert p_equal == pytest.approx(0.73105857863000488, abs=1e-14)
 
 
@@ -71,11 +72,10 @@ def test_probabilities_sum_to_one():
                 if rng.random() < 0.4:
                     edges[(i, j)] = float(rng.normal())
         m = IsingModel(p, edges)
-        log_z = log_partition(m)
         total = 0.0
         for idx in range(1 << p):
             spins = [1 if (idx >> b) & 1 else -1 for b in range(p)]
-            total += exact_probability(m, spins, log_z=log_z)
+            total += exact_probability(m, spins)
         assert total == pytest.approx(1.0, abs=1e-12)
         dist = exact_distribution(m)
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
@@ -102,6 +102,36 @@ def test_enumeration_guard():
         log_partition(big)
     with pytest.raises(CapabilityError):
         exact_distribution(big)
+
+
+def test_one_enumeration_per_model(enumerations):
+    m = make_grid_model(3, 0.4, "spin_glass", seed=2)
+    first = sample_exact(m, 500, seed=1)
+    second = sample_exact(m, 500, seed=2)
+    log_z = log_partition(m)
+    spins = [1, -1, 1, 1, -1, -1, 1, 1, 1]
+    assert exact_probability(m, spins) == math.exp(
+        energy_exponent(m, spins) - log_z)
+    population_gradient_moments(m, 0)
+    covariance_floor_check(m, 1)
+    exact_pair_covariance(m, 2)
+    verification_report(m, seed=5, n=2000, sets=5, rsc_trials=5)
+    assert len(enumerations) == 1 and enumerations[0] is m
+    # Both draws read one CDF, which ends at exactly 1.
+    cdf = first._draw[0]
+    assert second._draw[0] is cdf and cdf[-1] == 1.0
+    assert not cdf.flags.writeable
+    # One shared, read-only distribution.
+    dist = exact_distribution(m)
+    assert exact_distribution(m) is dist and not dist.flags.writeable
+    with pytest.raises(ValueError):
+        dist[0] = 0.5
+    # The cache is not part of the model's value; an equal model built
+    # afresh enumerates again.
+    fresh = IsingModel(m.p, m.couplings)
+    assert m == fresh
+    exact_distribution(fresh)
+    assert len(enumerations) == 2 and enumerations[1] is fresh
 
 
 def test_grid_model_shapes():
@@ -143,6 +173,13 @@ def test_random_model_respects_ranges():
         assert 0.3 <= abs(theta) <= 0.8
     assert make_random_model(8, 0.4, 0.3, 0.8, seed=2).couplings == m.couplings
     assert make_random_model(6, 0.0, 0.3, 0.8, seed=2).couplings == {}
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.1, math.inf), (math.inf, math.inf),
+                                         (0.6, 0.5), (0.1, math.nan)])
+def test_random_model_refuses_bad_widths(alpha, beta):
+    with pytest.raises(InputError):
+        make_random_model(5, 0.5, alpha, beta, seed=1)
 
 
 def test_json_round_trip_bit_exact():

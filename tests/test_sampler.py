@@ -12,7 +12,6 @@ from isinglearn import (GlauberConfig, InputError, IsingModel, SampleSet,
                         read_samples_binary, read_samples_text, sample_exact,
                         sample_glauber, write_samples_binary,
                         write_samples_text)
-from isinglearn import sampler
 from isinglearn.sampler import _colour_classes, tally_configurations
 
 
@@ -327,22 +326,15 @@ def test_drawn_rows_are_the_inverse_cdf_rows(model, seed):
     assert s.data is s.data
 
 
-def test_exact_draws_enumerate_a_model_once(monkeypatch):
-    calls = []
-    enumerate_all = sampler.exact_distribution
-
-    def counting(model):
-        calls.append(model.p)
-        return enumerate_all(model)
-
-    monkeypatch.setattr(sampler, "exact_distribution", counting)
+def test_exact_draws_enumerate_a_model_once(enumerations):
     m = make_grid_model(3, 0.6)
     first = sample_exact(m, 100, seed=1)
     second = sample_exact(m, 100, seed=1)
-    assert calls == [9]
+    assert len(enumerations) == 1 and enumerations[0] is m
     assert np.array_equal(first.data, second.data)
-    sample_exact(make_grid_model(3, 0.6), 100, seed=1)
-    assert calls == [9, 9]  # a new model enumerates again
+    fresh = make_grid_model(3, 0.6)  # an equal model enumerates again
+    sample_exact(fresh, 100, seed=1)
+    assert len(enumerations) == 2 and enumerations[1] is fresh
 
 
 def _old_unpack(path) -> np.ndarray:

@@ -16,7 +16,6 @@ from isinglearn import (InputError, IsingModel, ModelParams,
                         sample_upper_bound_existence_log2, structure_lnp_coefficient,
                         structure_sample_bound, support_bound,
                         verification_report)
-from isinglearn import theory
 from isinglearn.model import configurations_from_indices
 
 # Reference values below were computed independently with 50-digit
@@ -202,15 +201,7 @@ def test_verification_report_passes_and_is_deterministic():
     assert doc["metadata"]["rng"] == "numpy-pcg64"
 
 
-def test_verification_report_enumerates_once(monkeypatch):
-    calls = []
-    enumerate_all = theory.exact_distribution
-
-    def counting(model):
-        calls.append(model.p)
-        return enumerate_all(model)
-
-    monkeypatch.setattr(theory, "exact_distribution", counting)
+def test_verification_report_enumerates_once(enumerations):
     verification_report(make_grid_model(3, 0.4), seed=5, n=2000, sets=5,
                         rsc_trials=5)
-    assert calls == [9]
+    assert [m.p for m in enumerations] == [9]
