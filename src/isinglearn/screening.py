@@ -24,6 +24,12 @@ configurations at a time, is the one evaluator for all of them. A
 NodeView is a design plus its focal vertex, so one vertex's loss is the
 one-row evaluate_rows call.
 
+A design may also carry one row of weights per focal vertex. A row
+supported on a set W reads the data only through the weight of each
+sign pattern of sigma_u * sigma_W, so pattern_table turns the design
+into such a design: the 2^|W| patterns, shared, with each row's weights
+on them, one bincount each. The solver fits wide rows on these tables.
+
 Linear forms are clamped to +/-LINEAR_FORM_LIMIT before
 exponentiation (exp overflows near 710); evaluations report whether
 the clamp fired so callers can flag saturation.
@@ -92,7 +98,8 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
 
     Returns (values, gradients, saturated): the focal entries of
     gradients are 0; saturated[i] tells whether row i's linear forms
-    hit the clamp.
+    hit the clamp. The design's weights are one row shared by every
+    focal vertex, or len(rows) rows, row i for rows[i] (pattern_table).
     """
     spins, weights, total = design
     values = grads = 0.0
@@ -112,7 +119,7 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
             saturated |= risky & (np.abs(e).max(axis=1) > LINEAR_FORM_LIMIT)
             np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
         np.exp(e, out=e)
-        e *= weights[lo:lo + block]
+        e *= weights[..., lo:lo + block]
         # Along the contiguous axis numpy sums pairwise, which keeps the
         # rounding far below the solver's 1e-15 slack.
         values = values + e.sum(axis=1)
@@ -122,6 +129,27 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
     grads /= -total
     grads[np.arange(len(rows)), rows] = 0.0
     return values, grads, saturated
+
+
+def pattern_table(design: Design, rows, cols) -> Design:
+    """The design's sign-pattern tables of the focal vertices rows[i] on
+    the columns cols[i] (len(rows) x k): the 2^k patterns of
+    sigma_u * sigma_cols as a (k + 1) x 2^k design, where vertex 0 stands
+    for the focal vertex (+1 throughout) and pattern c has -1 at vertex
+    i + 1 exactly where bit i of c is set, with one row of weights per
+    focal vertex: its design's weight on each pattern. At a theta row
+    supported on cols[i], evaluate_rows of row i's table at focal vertex
+    0 gives the loss, and the gradient on cols[i], of the design's."""
+    k = cols.shape[1]
+    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+    patterns = np.vstack([np.ones((1, 1 << k)), 1 - 2 * bits]).astype(np.int8)
+    spins, powers = design.spins, (1 << np.arange(k))[:, None]
+    # One row at a time keeps the k x m codes the only temporary.
+    weights = np.array([
+        np.bincount(((spins[c] != spins[u]) * powers).sum(axis=0),
+                    weights=design.weights, minlength=1 << k)
+        for u, c in zip(rows, cols)])
+    return Design(patterns, weights, design.total)
 
 
 class Evaluation(NamedTuple):

@@ -155,6 +155,23 @@ def test_solver_counters_add_up(p):
     assert sum(e.report.backtracks for e in estimates) > 0
 
 
+def test_sixteen_vertex_fit_stays_on_the_full_design(full_passes):
+    # p = 16 rows are 15 wide, below twice the working set: every
+    # evaluation is a row of a full-design pass, and the solve is the
+    # lockstep loop without working sets (these counts are what it took
+    # before they existed).
+    s = _samples(16)
+    estimates = fit_all_nodes(s, lambda_schedule(16, s.n, 0.05),
+                              SolverConfig(kkt_tolerance=1e-8))
+    assert (sum(len(rows) for rows in full_passes)
+            == sum(e.report.evaluations for e in estimates))
+    assert [e.report.iterations for e in estimates] == [
+        72, 50, 47, 72, 60, 59, 50, 56, 56, 50, 76, 35, 53, 61, 69, 47]
+    assert [e.report.evaluations for e in estimates] == [
+        164, 109, 104, 164, 135, 132, 109, 126, 125, 109, 172, 75, 119, 134,
+        157, 103]
+
+
 def test_capped_row_stops_while_the_others_converge():
     s = _samples(9)
     lam = lambda_schedule(9, s.n, 0.05)

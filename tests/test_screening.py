@@ -8,7 +8,8 @@ from isinglearn import (InputError, IsingModel, SampleSet, empirical_covariance,
                         sample_exact, sampler, screening_gradient,
                         screening_value, taylor_remainder)
 from isinglearn.model import configurations_from_indices
-from isinglearn.screening import LINEAR_FORM_LIMIT, evaluate_rows
+from isinglearn.screening import (LINEAR_FORM_LIMIT, evaluate_rows,
+                                  pattern_table)
 
 
 def _brute_force(samples: SampleSet, u: int, theta: np.ndarray):
@@ -226,6 +227,40 @@ def test_evaluate_rows_matches_per_sample_formula(p):
         np.testing.assert_allclose(np.delete(grads[u], u), grad_ref,
                                    rtol=1e-11, atol=1e-14 * val_ref)
     assert saturated[0] and not saturated[1:].any()
+
+
+@pytest.mark.parametrize("p", [5, 16, 70])
+def test_pattern_table_matches_the_tally(p):
+    # At a theta supported on each row's columns W, the row's table of
+    # sign-pattern weights gives the tally's loss, and its gradient on
+    # W. Each W holds the row's support and two zero slots; p = 70 takes
+    # the tally's row branch.
+    rng = np.random.default_rng(p)
+    data = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3000, p))
+    s = SampleSet(p, len(data), data)
+    k = min(8, p - 1)
+    rows = np.arange(p)
+    cols = np.array([np.sort(rng.choice(np.delete(rows, u), k, replace=False))
+                     for u in rows])
+    theta = np.zeros((p, p))
+    support = cols[:, rng.permutation(k)[:k - 2]]
+    theta[rows[:, None], support] = rng.normal(scale=0.4, size=support.shape)
+    values, grads, saturated = evaluate_rows(s.tally, rows, theta)
+
+    table = pattern_table(s.tally, rows, cols)
+    assert table.spins.shape == (k + 1, 1 << k)
+    assert table.weights.shape == (p, 1 << k)
+    np.testing.assert_allclose(table.weights.sum(axis=1),
+                               s.tally.weights.sum(), rtol=1e-14)
+    restricted = np.zeros((p, k + 1))
+    restricted[:, 1:] = theta[rows[:, None], cols]
+    t_values, t_grads, t_saturated = evaluate_rows(
+        table, np.zeros(p, dtype=np.int64), restricted)
+    np.testing.assert_allclose(t_values, values, rtol=1e-12)
+    assert np.all(t_grads[:, 0] == 0.0)
+    np.testing.assert_allclose(t_grads[:, 1:], grads[rows[:, None], cols],
+                               rtol=1e-12, atol=1e-12 * values.max())
+    assert np.array_equal(t_saturated, saturated)
 
 
 def test_dimension_mismatch_rejected():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isinglearn import (InputError, IsingModel, SampleSet, SolverConfig,
-                        kkt_residual, make_grid_model, minimize, node_view,
-                        sample_exact, screening_gradient, screening_value,
-                        soft_threshold)
+                        kkt_residual, lambda_schedule, make_grid_model,
+                        minimize, node_view, sample_exact, screening_gradient,
+                        screening_value, soft_threshold, solver)
+from isinglearn.sampler import GlauberConfig, sample_glauber
+from isinglearn.screening import evaluate_rows
 from isinglearn.solver import minimize_rows
 
 
@@ -195,3 +197,94 @@ def test_far_start_stalls_and_restarts():
         assert 1 + r.iterations + r.backtracks <= r.evaluations
         assert r.evaluations <= 2 * r.iterations + r.backtracks + 1
         assert r.restarts + r.stalls <= r.iterations
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_start_overflow_raises_no_warning():
+    # From x0 entries drawn N(0, 50^2) the first quadratic models
+    # overflow (inf - inf, an overflowing product, sum and quotient);
+    # such a model does not majorize, and numpy stays silent.
+    s = sample_exact(make_grid_model(3, 0.5, "spin_glass", seed=1), 2000, 1)
+    x0 = np.random.default_rng(1).normal(scale=50, size=(9, 9))
+    reports = minimize_rows(s.tally, range(9),
+                            SolverConfig(lam=0.05, kkt_tolerance=1e-7,
+                                         max_iterations=5000), x0)
+    assert all(np.isfinite(r.objective_value) for r in reports)
+    assert all(r.backtracks > 0 for r in reports)
+
+
+def _torus_samples():
+    # p = 36: rows are 35 wide, past twice the working set and the cap.
+    return sample_glauber(make_grid_model(6, 0.4), 4000,
+                          GlauberConfig(seed=7, burn_in_sweeps=100,
+                                        thinning_sweeps=2))
+
+
+def _certified_on_a_full_pass(s, reports, cfg):
+    theta = np.array([np.insert(r.solution, u, 0.0)
+                      for u, r in enumerate(reports)])
+    _, grads, _ = evaluate_rows(s.tally, np.arange(s.p), theta)
+    for u, r in enumerate(reports):
+        assert r.converged
+        assert kkt_residual(np.delete(grads[u], u), r.solution,
+                            cfg.lam) <= cfg.kkt_tolerance
+
+
+def _full_design_solve(monkeypatch, s, cfg):
+    # A working set of half the row or more sends every row to the full
+    # design.
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_WORKING_SET", s.p)
+        return minimize_rows(s.tally, range(s.p), cfg)
+
+
+def test_working_set_solve_matches_the_full_design(monkeypatch, full_passes):
+    s = _torus_samples()
+    cfg = SolverConfig(lam=lambda_schedule(s.p, s.n, 0.05),
+                       kkt_tolerance=1e-8)
+    builds = []
+    pattern_table = solver.pattern_table
+
+    def counting(design, rows, cols):
+        builds.append(cols.shape)
+        return pattern_table(design, rows, cols)
+
+    monkeypatch.setattr(solver, "pattern_table", counting)
+    reports = minimize_rows(s.tally, range(s.p), cfg)
+    _certified_on_a_full_pass(s, reports, cfg)
+    # One full pass at the start and one per outer round: every FISTA
+    # iteration ran on the tables, and each pass after the first
+    # evaluates only rows the one before left uncertified.
+    assert builds and all(k == solver._WORKING_SET for _, k in builds)
+    assert len(full_passes) <= 1 + len(builds)
+    assert full_passes[0].tolist() == list(range(s.p))
+    for before, after in zip(full_passes, full_passes[1:]):
+        assert set(after.tolist()) <= set(before.tolist())
+    assert sum(r.iterations for r in reports) >= 10 * len(full_passes)
+    full = _full_design_solve(monkeypatch, s, cfg)
+    for a, b in zip(reports, full):
+        assert b.converged
+        np.testing.assert_array_equal(a.solution != 0, b.solution != 0)
+        np.testing.assert_allclose(a.solution, b.solution, atol=1e-5)
+
+
+def test_row_past_the_working_set_cap_falls_back(monkeypatch, full_passes):
+    # At this small penalty some rows end with more nonzeros than a
+    # table may hold: they finish on the full design, a pass per
+    # evaluation, and are certified as the table rows are.
+    s = _torus_samples()
+    cfg = SolverConfig(lam=0.02, kkt_tolerance=1e-8)
+    reports = minimize_rows(s.tally, range(s.p), cfg)
+    _certified_on_a_full_pass(s, reports, cfg)
+    wide = [u for u, r in enumerate(reports)
+            if np.count_nonzero(r.solution) > solver._WORKING_SET_CAP]
+    narrow = [u for u, r in enumerate(reports)
+              if np.count_nonzero(r.solution) <= solver._WORKING_SET]
+    assert wide and narrow
+    passes = [sum(u in rows for rows in full_passes) for u in range(s.p)]
+    for u in wide:
+        assert passes[u] >= reports[u].iterations // 2
+    full = _full_design_solve(monkeypatch, s, cfg)
+    for a, b in zip(reports, full):
+        np.testing.assert_array_equal(a.solution != 0, b.solution != 0)
+        np.testing.assert_allclose(a.solution, b.solution, atol=1e-5)
