@@ -193,19 +193,17 @@ def _check_enumeration(p: int):
 
 
 def configurations_from_indices(indices, p: int) -> np.ndarray:
-    """Decode configuration indices to an (m, p) int8 array of spins,
-    one column at a time, so nothing wider than one index per row is
-    held besides the result."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    out = np.empty((idx.shape[0], p), dtype=np.int8)
-    bit = np.empty_like(idx)
-    for i in range(p):
-        np.right_shift(idx, np.uint64(i), out=bit)
-        np.bitwise_and(bit, np.uint64(1), out=bit)
-        out[:, i] = bit
-    out *= 2
-    out -= 1
-    return out
+    """Decode m configuration words, or an m x W array of them, to an
+    (m, p) int8 array of spins: spin i is +1 iff bit i % 64 of word
+    i // 64 is set, so for p <= 64 a word is the configuration index."""
+    words = np.asarray(indices, dtype="<u8")
+    if words.ndim == 1:
+        words = words[:, None]
+    spins = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=1,
+                          count=p, bitorder="little").view(np.int8)
+    spins *= 2
+    spins -= 1
+    return spins
 
 
 def enumerate_exponents(model: IsingModel) -> np.ndarray:

@@ -11,11 +11,13 @@ generator (RNG_ALGORITHM below names it for output metadata).
 
 A sample set is read through its tally (SampleSet.tally): a Design,
 the distinct configurations up to the global flip as int8 columns with
-their counts. An exact draw keeps its uniforms, counts its tally from
-them against the CDF its model keeps and decodes its rows only when
-data is first read. Designs built from weights over
-configuration indices (multinomial counts, exact probabilities) have
-the same form, so every loss and second moment reads one kind of data.
+their counts, ascending by configuration index for p <= 64 and by their
+words, word 0 first, above (tally_configurations gives the layout). An
+exact draw keeps its uniforms, counts its tally from them against the
+CDF its model keeps and decodes its rows only when data is first read.
+Designs built from weights over configuration indices (multinomial
+counts, exact probabilities) have the same form, so every loss and
+second moment reads one kind of data.
 
 Sample sets travel either as text ("p n" header then one row of
 +1/-1 tokens per sample) or as a packed binary stream (magic "ISNG",
@@ -65,7 +67,7 @@ def _design(spins: np.ndarray, weights: np.ndarray, total: float) -> Design:
 
 def _indexed_design(indices, weights, p: int, total: float) -> Design:
     """The configurations with the given indices, one column each, with
-    their weights: tally codes, multinomial counts or exact
+    their weights: tally words, multinomial counts or exact
     probabilities over the 2^p indices."""
     spins = np.ascontiguousarray(configurations_from_indices(indices, p).T)
     return _design(spins, weights, total)
@@ -73,32 +75,32 @@ def _indexed_design(indices, weights, p: int, total: float) -> Design:
 
 def tally_configurations(data: np.ndarray) -> Design:
     """The distinct rows of an n x p -1/+1 matrix up to the global flip,
-    each taken with spin 0 at +1 (ascending by index for p <= 64,
-    lexicographically above), weighted by their counts. Up to p = 64
-    nothing wider than one code per row is materialized."""
+    each taken with spin 0 at +1, weighted by their counts. The rows are
+    packed at once into words, spin i in bit i % 64 of word i // 64 (for
+    p <= 64 one word, the configuration index), and the columns ascend
+    by index for p <= 64 and by their words, word 0 first, above."""
     n, p = data.shape
-    if p > 64:
-        configs, counts = np.unique(data * data[:, :1], axis=0,
-                                    return_counts=True)
-        return _design(np.ascontiguousarray(configs.T), counts, n)
-    codes = np.zeros(n, dtype=np.int64)
-    for i in range(1, p):
-        codes |= (data[:, i] == data[:, 0]).astype(np.int64) << (i - 1)
-    return _tally_codes(codes, p)
+    words = np.zeros((n, -(-p // 64) * 8), dtype=np.uint8)
+    words[:, :-(-p // 8)] = np.packbits(data > 0, axis=1, bitorder="little")
+    return _tally_words(words.view("<u8"), p)
 
 
-def _tally_codes(codes: np.ndarray, p: int) -> Design:
-    """The tally of rows given as codes (int64): bit i-1 of a row's code
-    is set iff its spin i equals its spin 0."""
+def _tally_words(words: np.ndarray, p: int) -> Design:
+    """tally_configurations of n rows given as n x W words, bits past p
+    clear; the words are flipped in place."""
+    # Rows with spin 0 at -1 are flipped: XOR with the p-bit mask.
+    mask = np.full(words.shape[1], ~np.uint64(0))
+    mask[-1] >>= np.uint64(-p % 64)
+    words ^= ((words[:, :1] & 1) - 1) & mask
     if p - 1 <= 20:
-        full = np.bincount(codes, minlength=1 << (p - 1))
+        full = np.bincount(words[:, 0].view(np.int64), minlength=1 << p)
         distinct = np.flatnonzero(full)
         counts = full[distinct]
+    elif words.shape[1] == 1:
+        distinct, counts = np.unique(words[:, 0], return_counts=True)
     else:
-        distinct, counts = np.unique(codes, return_counts=True)
-    # As an index, with spin 0 at +1 in bit 0.
-    indices = (distinct.astype(np.uint64) << np.uint64(1)) | np.uint64(1)
-    return _indexed_design(indices, counts, p, codes.size)
+        distinct, counts = np.unique(words, axis=0, return_counts=True)
+    return _indexed_design(distinct, counts, p, words.shape[0])
 
 
 def _drawn_tally(cdf: np.ndarray, u: np.ndarray, p: int) -> Design:
@@ -204,11 +206,7 @@ class SampleSet:
         if "_draw" in self.__dict__:
             return _drawn_tally(*self._draw, self.p)
         if "_packed" in self.__dict__:
-            # Flip the rows with spin 0 at -1, then drop spin 0.
-            words = self._words()
-            flipped = words ^ ((words & 1) - 1)
-            codes = (flipped >> 1) & ((1 << (self.p - 1)) - 1)
-            return _tally_codes(codes.view(np.int64), self.p)
+            return _tally_words(self._words()[:, None], self.p)
         return tally_configurations(self.data)
 
 

@@ -16,10 +16,10 @@ witness, while the iterates themselves keep contracting and the
 optimality residual keeps improving. Starting point is the origin,
 which makes the fully-penalized regime exact: the gradient at 0 is an
 average of +/-1 rows, so ||grad||_inf <= 1 and any lam >= 1 keeps every
-soft-threshold step at exactly 0. A caller may start from a nearby
-solution instead (x0, such as an earlier fit of the same model); a start
-that already meets the tolerance returns after its one evaluation, with
-0 iterations.
+soft-threshold step at exactly 0. A caller may start elsewhere (x0,
+such as an earlier fit of the same model): a start that meets the
+tolerance returns after its one evaluation, with 0 iterations, and one
+whose objective exceeds the origin's, exactly 1, restarts there.
 
 Each candidate step is evaluated with its gradient, so an accepted
 candidate becomes the iterate with the value, gradient and saturation
@@ -52,7 +52,7 @@ would exceed _WORKING_SET_CAP or reach half its p - 1 coordinates, or
 that stalls on its table, is solved on the full design instead, as
 every row is for p <= 2 * _WORKING_SET + 1. Each report counts table
 and full-design work together (iterations, evaluations, backtracks,
-momentum restarts, stalls), and max_iterations caps a row's total.
+restarts, stalls), and max_iterations caps a row's total.
 
 Convergence is declared per row on the subgradient optimality residual
 (kkt_residual below) of the full gradient, not on objective or iterate
@@ -108,7 +108,7 @@ class SolveReport:
     converged: bool
     saturated: bool = False
     # Loss evaluations on tables and the full design (the start point's
-    # included), backtracking steps, momentum restarts and stalled steps.
+    # included), backtracks, momentum and far-start restarts, and stalls.
     evaluations: int = 0
     backtracks: int = 0
     restarts: int = 0
@@ -324,6 +324,14 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
         counts[1, live] += 1
         saturated[live] |= sat
         obj[live] = value[live] + lam * np.abs(x[live]).sum(axis=1)
+        far = live[obj[live] > 1.0] if first and x0 is not None else live[:0]
+        if far.size:  # starts above the origin's objective, 1, restart there
+            x[far] = 0.0
+            value[far], grad[far], sat = evaluate_rows(design, rows[far],
+                                                       x[far])
+            saturated[far] |= sat
+            obj[far] = value[far]
+            counts[1::2, far] += 1  # an evaluation and a restart
         residual[live] = _kkt_rows(grad[live], x[live], lam)
         live = live[(residual[live] > tol) & (counts[0, live] < cap)]
         if live.size == 0:

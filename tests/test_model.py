@@ -223,22 +223,29 @@ def test_json_rejects_malformed(text):
         model_from_json(text)
 
 
-def _decode_reference(indices, p):
-    """The n x p uint64 bit-matrix decode that the column-by-column one
-    replaced."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    shifts = np.arange(p, dtype=np.uint64)
-    bits = (idx[:, None] >> shifts[None, :]) & np.uint64(1)
+def _decode_reference(words, p):
+    """A decode through an n x p uint64 bit matrix, of n words or of an
+    n x W word array: spin i is bit i % 64 of word i // 64."""
+    words = np.asarray(words, dtype=np.uint64).reshape(len(words), -1)
+    i = np.arange(p)
+    bits = (words[:, i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 
 
 @pytest.mark.parametrize("p, n", [(1, 28000), (16, 28000), (16, 80000),
-                                  (16, 832000), (25, 80000)])
+                                  (16, 832000), (25, 80000), (64, 5000),
+                                  (65, 5000), (100, 5000), (128, 5000)])
 def test_configuration_decode_matches_bit_matrix(p, n):
-    # p = 16 at the criterion-9 n_min sizes, and the enumeration extremes.
+    # p = 16 at the criterion-9 n_min sizes, and the enumeration extremes;
+    # from p = 64 on, n x W words (W = 1 at 64), whose bits past p the
+    # decode ignores.
     rng = np.random.default_rng(p + n)
-    idx = rng.integers(0, 1 << p, size=n, dtype=np.uint64)
-    idx[:2] = [0, (1 << p) - 1]
+    if p <= 25:
+        idx = rng.integers(0, 1 << p, size=n, dtype=np.uint64)
+        idx[:2] = [0, (1 << p) - 1]
+    else:
+        idx = rng.integers(0, 1 << 64, size=(n, -(-p // 64)), dtype=np.uint64)
+        idx[:2] = [[0], [(1 << 64) - 1]]
     out = configurations_from_indices(idx, p)
     assert out.dtype == np.int8 and out.shape == (n, p)
     for lo in range(0, n, 100000):

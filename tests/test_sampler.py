@@ -292,6 +292,19 @@ _DRAWN_MODELS = [
 ]
 
 
+def _ascends_by_words(design) -> bool:
+    """Whether a tally's columns strictly ascend by their configuration
+    words, word 0 first: by configuration index for p <= 64."""
+    bits = (design.spins > 0).astype(np.uint64)
+    words = []
+    for lo in range(0, bits.shape[0], 64):
+        block = bits[lo:lo + 64]
+        shifts = np.arange(block.shape[0], dtype=np.uint64)[:, None]
+        words.append((block << shifts).sum(axis=0).tolist())
+    keys = list(zip(*words))
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
 @pytest.mark.parametrize("model", _DRAWN_MODELS,
                          ids=["glass-3x3", "glass-4x4", "random-9", "gapped",
                               "one-spin"])
@@ -306,6 +319,7 @@ def test_drawn_tally_is_the_tally_of_its_rows(model, n):
     assert np.array_equal(got.spins, want.spins)
     assert np.array_equal(got.weights, want.weights)
     assert got.total == want.total and type(got.total) is type(want.total)
+    assert _ascends_by_words(got)
 
 
 def test_gapped_model_has_unreachable_configurations():
@@ -361,7 +375,8 @@ def _set_to_write(p: int, n: int) -> SampleSet:
     return SampleSet(p, n, rows)
 
 
-@pytest.mark.parametrize("p", [1, 2, 7, 8, 9, 16, 25, 57, 58, 64, 65])
+@pytest.mark.parametrize("p", [1, 2, 7, 8, 9, 16, 25, 57, 58, 64, 65, 100,
+                               130])
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 1001])
 def test_read_set_counts_the_tally_of_its_rows(tmp_path, p, n):
     path = tmp_path / "s.bin"
@@ -378,6 +393,8 @@ def test_read_set_counts_the_tally_of_its_rows(tmp_path, p, n):
     assert np.array_equal(got.spins, want.spins)
     assert np.array_equal(got.weights, want.weights)
     assert got.total == want.total and type(got.total) is type(want.total)
+    # Packed rows up to p = 57, int8 rows above.
+    assert _ascends_by_words(got)
 
 
 @pytest.mark.parametrize("p, n", [(3, 5), (9, 7), (13, 1), (57, 9), (58, 3)])

@@ -295,10 +295,11 @@ def _per_vertex_dedup(samples: SampleSet, u: int):
     return others, rows, counts / float(samples.n)
 
 
-@pytest.mark.parametrize("p", [2, 9, 23, 64, 70])
+@pytest.mark.parametrize("p", [2, 9, 23, 64, 65, 70, 128, 129])
 def test_tally_views_match_per_vertex_dedup(p):
-    # p = 2 and 9 take the bincount branch, 23 and 64 the sorted codes
-    # (64 is the widest), 70 the row sort.
+    # p = 2 and 9 take the bincount branch, 23 and 64 the sorted one-word
+    # rows (64 is the widest), 65 to 129 the rows of two or three words
+    # (65 and 129 one bit into their last word, 128 filling it).
     rng = np.random.default_rng(p)
     pool = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, p))
     # Globally flipped copies give the same product rows as the originals.

@@ -184,13 +184,19 @@ def test_rows_finish_at_start_under_the_cap_and_at_it():
 
 
 def test_far_start_stalls_and_restarts():
-    # From a far start on 20 samples one row rejects a plain step from
-    # its iterate (a stall) and shrinks its step; others restart.
+    # A far start on 20 samples is worse than the origin, so every row
+    # restarts there; later momentum overshoots restart too. A rejected
+    # plain step from an iterate (a stall, which shrinks the step) needs a
+    # loss that is far at the origin too: with the total 2^-64 of the
+    # weights' sum, the loss at the origin is 2^64 and one row's first
+    # step stalls.
     s = sample_exact(make_grid_model(3, 0.7), 20, seed=1)
+    cfg = SolverConfig(lam=0.05, kkt_tolerance=1e-7, max_iterations=1000)
     x0 = np.random.default_rng(1).normal(scale=30, size=(9, 9))
-    reports = minimize_rows(s.tally, range(9),
-                            SolverConfig(lam=0.05, kkt_tolerance=1e-7,
-                                         max_iterations=1000), x0)
+    far = minimize_rows(s.tally, range(9), cfg, x0)
+    steep = s.tally._replace(total=s.tally.total * 2.0 ** -64)
+    reports = far + minimize_rows(steep, range(9), cfg)
+    assert all(r.converged and r.restarts >= 1 for r in far)
     assert sum(r.stalls for r in reports) >= 1
     assert sum(r.restarts for r in reports) >= 1
     for r in reports:
@@ -201,16 +207,19 @@ def test_far_start_stalls_and_restarts():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_start_overflow_raises_no_warning():
-    # From x0 entries drawn N(0, 50^2) the first quadratic models
-    # overflow (inf - inf, an overflowing product, sum and quotient);
-    # such a model does not majorize, and numpy stays silent.
-    s = sample_exact(make_grid_model(3, 0.5, "spin_glass", seed=1), 2000, 1)
+    # From x0 entries drawn N(0, 50^2) the starts' objectives are 1e64 to
+    # 3e179, so far out that quadratic models there overflow. Every row
+    # restarts from the origin, whose objective is 1, and is certified;
+    # numpy stays silent.
     x0 = np.random.default_rng(1).normal(scale=50, size=(9, 9))
-    reports = minimize_rows(s.tally, range(9),
-                            SolverConfig(lam=0.05, kkt_tolerance=1e-7,
-                                         max_iterations=5000), x0)
-    assert all(np.isfinite(r.objective_value) for r in reports)
-    assert all(r.backtracks > 0 for r in reports)
+    cfg = SolverConfig(lam=0.05, kkt_tolerance=1e-7, max_iterations=5000)
+    for beta in (0.3, 0.5):
+        s = sample_exact(make_grid_model(3, beta, "spin_glass", seed=1),
+                         2000, 1)
+        reports = minimize_rows(s.tally, range(9), cfg, x0)
+        assert all(np.isfinite(r.objective_value) for r in reports)
+        assert all(r.backtracks > 0 and r.restarts >= 1 for r in reports)
+        _certified_on_a_full_pass(s, reports, cfg)
 
 
 def _torus_samples():
