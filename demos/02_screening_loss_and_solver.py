@@ -33,8 +33,9 @@ print("gradient at truth:", np.abs(screening_gradient(view, truth)).max(),
       "(sup norm; concentrates around 0 as n grows)")
 
 # Sweep the penalty and watch the fitted vector sparsify. The solver
-# is FISTA with backtracking; convergence is certified by the KKT
-# residual of the composite objective, never by iterate drift.
+# takes proximal Newton steps with backtracking; convergence is
+# certified by the KKT residual of the composite objective, never by
+# iterate drift.
 print("\n lambda   nonzeros  l1 norm   iterations")
 for lam in (0.0, 0.01, 0.05, 0.2, 1.0):
     report = minimize(view, SolverConfig(lam=lam, kkt_tolerance=1e-8))

@@ -99,7 +99,11 @@ def _tally_words(words: np.ndarray, p: int) -> Design:
     elif words.shape[1] == 1:
         distinct, counts = np.unique(words[:, 0], return_counts=True)
     else:
-        distinct, counts = np.unique(words, axis=0, return_counts=True)
+        # As big-endian bytes a row sorts by its words, word 0 first.
+        w = words.shape[1]
+        rows = words.astype(">u8").view(f"V{8 * w}")[:, 0]
+        distinct, counts = np.unique(rows, return_counts=True)
+        distinct = distinct.view(">u8").reshape(-1, w).astype(np.uint64)
     return _indexed_design(distinct, counts, p, words.shape[0])
 
 

@@ -2,6 +2,8 @@
 prints them as an uncaptured section after the run summary, and counts
 model enumerations and the solver's passes over full designs."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -32,18 +34,23 @@ def enumerations(monkeypatch):
     return calls
 
 
+class FullPass(NamedTuple):
+    rows: np.ndarray
+    hessian: bool
+
+
 @pytest.fixture
 def full_passes(monkeypatch):
     """The focal rows of each evaluate_rows call the solver makes on a
-    full design (one shared row of weights, not a pattern table), in
-    call order."""
+    full design (one shared row of weights, not a pattern table), and
+    whether it asked for the Hessians, in call order."""
     calls = []
     evaluate_rows = solver_module.evaluate_rows
 
-    def counting(design, rows, theta):
+    def counting(design, rows, theta, hessian=False):
         if design.weights.ndim == 1:
-            calls.append(np.array(rows))
-        return evaluate_rows(design, rows, theta)
+            calls.append(FullPass(np.array(rows), bool(hessian)))
+        return evaluate_rows(design, rows, theta, hessian)
 
     monkeypatch.setattr(solver_module, "evaluate_rows", counting)
     return calls

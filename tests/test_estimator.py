@@ -157,19 +157,18 @@ def test_solver_counters_add_up(p):
 
 def test_sixteen_vertex_fit_stays_on_the_full_design(full_passes):
     # p = 16 rows are 15 wide, below twice the working set: every
-    # evaluation is a row of a full-design pass, and the solve is the
-    # lockstep loop without working sets (these counts are what it took
-    # before they existed).
+    # evaluation is a row of a full-design pass with its Hessians, and
+    # the solve is the lockstep loop without working sets.
     s = _samples(16)
     estimates = fit_all_nodes(s, lambda_schedule(16, s.n, 0.05),
                               SolverConfig(kkt_tolerance=1e-8))
-    assert (sum(len(rows) for rows in full_passes)
+    assert all(c.hessian for c in full_passes)
+    assert (sum(len(c.rows) for c in full_passes)
             == sum(e.report.evaluations for e in estimates))
     assert [e.report.iterations for e in estimates] == [
-        72, 50, 47, 72, 60, 59, 50, 56, 56, 50, 76, 35, 53, 61, 69, 47]
+        7, 5, 6, 6, 6, 8, 6, 5, 7, 6, 7, 6, 5, 5, 6, 7]
     assert [e.report.evaluations for e in estimates] == [
-        164, 109, 104, 164, 135, 132, 109, 126, 125, 109, 172, 75, 119, 134,
-        157, 103]
+        11, 6, 7, 9, 7, 10, 8, 6, 9, 7, 11, 8, 6, 6, 9, 10]
 
 
 def test_capped_row_stops_while_the_others_converge():

@@ -69,6 +69,17 @@ def test_nmin_csv_reproducible_up_to_timing(tmp_path):
         assert a.split(",")[:-1] == b.split(",")[:-1]
 
 
+def test_nmin_glass_pins_four_seeds():
+    # The nmin-glass-4x4 benchmark manifest at width 0.6 alone: n_min at
+    # manifest seeds 1-4, a pin that a pure-speed solver change keeps.
+    fields = dict(kind="nmin_vs_beta", family="spin_glass", side=4,
+                  betas=[0.6], trials=10, epsilon=0.05, n_start=1000,
+                  n_max=32_000_000, rel_width=0.10, kkt_tolerance=1e-6)
+    found = [run_nmin_search(manifest_from_dict(dict(fields, seed=seed)))
+             [0]["n_min"] for seed in (1, 2, 3, 4)]
+    assert found == [36000, 34000, 34000, 34000]
+
+
 def test_nmin_gives_up_at_n_max():
     # Penalties above 1 force the all-zero fit, so recovery can never
     # happen at these sizes and the search must report failure.

@@ -263,6 +263,56 @@ def test_pattern_table_matches_the_tally(p):
     assert np.array_equal(t_saturated, saturated)
 
 
+def _per_sample_hessian(samples: SampleSet, u: int, theta_row):
+    """(1/n) sum_k exp(-z_k) sigma^(k) sigma^(k)^T, focal row and column
+    0, straight from the samples."""
+    c = samples.data.astype(np.float64)
+    e = np.exp(-(c @ theta_row) * c[:, u])
+    hess = (c * e[:, None]).T @ c / samples.n
+    hess[u] = hess[:, u] = 0.0
+    return hess
+
+
+@pytest.mark.parametrize("p", [5, 16])
+def test_hessian_matches_per_sample_formula(p):
+    # The Hessians come from the pass that gives the values and
+    # gradients (up to the rounding of its smaller blocks), on the tally
+    # and on each row's pattern table (per-row weights), whose Hessian
+    # is the tally's on the row's columns. All p rows take the pair
+    # products, one row alone its weighted copy of each block.
+    rng = np.random.default_rng(p)
+    data = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3000, p))
+    s = SampleSet(p, len(data), data)
+    rows = np.arange(p)
+    k = min(6, p - 1)
+    cols = np.array([np.sort(rng.choice(np.delete(rows, u), k, replace=False))
+                     for u in rows])
+    theta = np.zeros((p, p))
+    theta[rows[:, None], cols] = rng.normal(scale=0.4, size=cols.shape)
+    values, grads, saturated, hess = evaluate_rows(s.tally, rows, theta,
+                                                   hessian=True)
+    plain_values, plain_grads, plain_saturated = evaluate_rows(
+        s.tally, rows, theta)
+    np.testing.assert_allclose(values, plain_values, rtol=1e-14)
+    np.testing.assert_allclose(grads, plain_grads, rtol=1e-13, atol=1e-15)
+    assert np.array_equal(saturated, plain_saturated)
+    table = pattern_table(s.tally, rows, cols)
+    restricted = np.zeros((p, k + 1))
+    restricted[:, 1:] = theta[rows[:, None], cols]
+    *_, t_hess = evaluate_rows(table, np.zeros(p, dtype=np.int64),
+                               restricted, hessian=True)
+    for u in rows:
+        want = _per_sample_hessian(s, u, theta[u])
+        scale = 1e-12 * values[u]
+        np.testing.assert_allclose(hess[u], want, rtol=1e-12, atol=scale)
+        *_, alone = evaluate_rows(s.tally, [u], theta[[u]], hessian=True)
+        np.testing.assert_allclose(alone[0], want, rtol=1e-12, atol=scale)
+        assert np.all(t_hess[u, 0] == 0.0) and np.all(t_hess[u, :, 0] == 0.0)
+        np.testing.assert_allclose(t_hess[u, 1:, 1:],
+                                   want[cols[u][:, None], cols[u]],
+                                   rtol=1e-12, atol=scale)
+
+
 def test_dimension_mismatch_rejected():
     s = sample_exact(make_grid_model(2, 0.5), 100, seed=2)
     view = node_view(s, 0)

@@ -67,8 +67,7 @@ def test_kkt_certificate_recomputed_independently():
 
 def test_accepted_objectives_never_increase():
     # The solver is deterministic, so the run capped at k iterations
-    # ends at the k-th accepted objective (a restart round repeats the
-    # one before it).
+    # ends at the k-th accepted objective (a stalled row keeps its last).
     s = sample_exact(make_grid_model(3, 0.8), 3000, seed=23)
     view = node_view(s, 4)
     cfg = SolverConfig(lam=0.02, kkt_tolerance=1e-9)
@@ -80,7 +79,6 @@ def test_accepted_objectives_never_increase():
     assert np.all(np.diff(hist) <= 1e-14 * (1.0 + np.abs(hist[:-1])))
     assert hist[-1] <= hist[0]
     last = runs[-1]
-    assert last.restarts >= 1
     assert hist[-1] == pytest.approx(
         screening_value(view, last.solution)
         + cfg.lam * float(np.abs(last.solution).sum()), rel=1e-12)
@@ -154,9 +152,9 @@ def test_restart_from_own_solution_takes_no_iterations():
 
 
 def test_rows_finish_at_start_under_the_cap_and_at_it():
-    # Rows 0-1 start at their solutions, the others from 0; a cap at
-    # the others' median iteration count leaves rows that finish under
-    # it untouched and stops the rest at it.
+    # Rows 0-1 start at their solutions, the others from 0; a cap one
+    # below the others' largest iteration count leaves rows that finish
+    # under it untouched and stops the rest at it.
     s = sample_exact(make_grid_model(3, 0.7), 4000, seed=31)
     cfg = SolverConfig(lam=0.03, kkt_tolerance=1e-8)
     cold = minimize_rows(s.tally, range(9), cfg)
@@ -164,7 +162,7 @@ def test_rows_finish_at_start_under_the_cap_and_at_it():
     for u in (0, 1):
         x0[u] = np.insert(cold[u].solution, u, 0.0)
     free = minimize_rows(s.tally, range(9), cfg, x0)
-    cap = int(np.median([r.iterations for r in free[2:]]))
+    cap = max(r.iterations for r in free[2:]) - 1
     capped = minimize_rows(s.tally, range(9),
                            replace(cfg, max_iterations=cap), x0)
     assert [(r.iterations, r.evaluations) for r in capped[:2]] == [(0, 1)] * 2
@@ -185,11 +183,12 @@ def test_rows_finish_at_start_under_the_cap_and_at_it():
 
 def test_far_start_stalls_and_restarts():
     # A far start on 20 samples is worse than the origin, so every row
-    # restarts there; later momentum overshoots restart too. A rejected
-    # plain step from an iterate (a stall, which shrinks the step) needs a
-    # loss that is far at the origin too: with the total 2^-64 of the
-    # weights' sum, the loss at the origin is 2^64 and one row's first
-    # step stalls.
+    # restarts there. The 20 samples hold 2 distinct configurations, so
+    # every Hessian is singular and the rows take gradient steps. With
+    # the total 2^-64 of the weights' sum the loss at the origin is
+    # 2^64, and the row whose 8 columns are equal reaches float
+    # resolution at that scale far above the tolerance: its line search
+    # runs out, a stall.
     s = sample_exact(make_grid_model(3, 0.7), 20, seed=1)
     cfg = SolverConfig(lam=0.05, kkt_tolerance=1e-7, max_iterations=1000)
     x0 = np.random.default_rng(1).normal(scale=30, size=(9, 9))
@@ -208,9 +207,8 @@ def test_far_start_stalls_and_restarts():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_start_overflow_raises_no_warning():
     # From x0 entries drawn N(0, 50^2) the starts' objectives are 1e64 to
-    # 3e179, so far out that quadratic models there overflow. Every row
-    # restarts from the origin, whose objective is 1, and is certified;
-    # numpy stays silent.
+    # 3e179, near overflow. Every row restarts from the origin, whose
+    # objective is 1, and is certified; numpy stays silent.
     x0 = np.random.default_rng(1).normal(scale=50, size=(9, 9))
     cfg = SolverConfig(lam=0.05, kkt_tolerance=1e-7, max_iterations=5000)
     for beta in (0.3, 0.5):
@@ -218,8 +216,23 @@ def test_far_start_overflow_raises_no_warning():
                          2000, 1)
         reports = minimize_rows(s.tally, range(9), cfg, x0)
         assert all(np.isfinite(r.objective_value) for r in reports)
-        assert all(r.backtracks > 0 and r.restarts >= 1 for r in reports)
+        assert all(r.restarts >= 1 for r in reports)
         _certified_on_a_full_pass(s, reports, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_copied_spin_solves_without_a_warning():
+    # Spin 1 copies spin 0, so the rows of the other vertices see two
+    # equal columns and, at lam = 0, singular Hessians; rows 0 and 1 see
+    # a loss whose infimum 0 is approached as their coupling grows. Every
+    # row is still certified on a full pass, and numpy stays silent.
+    data = sample_exact(make_grid_model(3, 0.7), 2000, seed=6).data.copy()
+    data[:, 1] = data[:, 0]
+    s = SampleSet(9, 2000, data)
+    cfg = SolverConfig(lam=0.0, kkt_tolerance=1e-8)
+    reports = minimize_rows(s.tally, range(9), cfg)
+    assert all(np.isfinite(r.objective_value) for r in reports)
+    _certified_on_a_full_pass(s, reports, cfg)
 
 
 def _torus_samples():
@@ -261,14 +274,16 @@ def test_working_set_solve_matches_the_full_design(monkeypatch, full_passes):
     monkeypatch.setattr(solver, "pattern_table", counting)
     reports = minimize_rows(s.tally, range(s.p), cfg)
     _certified_on_a_full_pass(s, reports, cfg)
-    # One full pass at the start and one per outer round: every FISTA
-    # iteration ran on the tables, and each pass after the first
-    # evaluates only rows the one before left uncertified.
+    # One full pass at the start and one per outer round: every Newton
+    # iteration ran on the tables, so no pass asked for Hessians, and
+    # each pass after the first evaluates only rows the one before left
+    # uncertified.
     assert builds and all(k == solver._WORKING_SET for _, k in builds)
+    assert not any(c.hessian for c in full_passes)
     assert len(full_passes) <= 1 + len(builds)
-    assert full_passes[0].tolist() == list(range(s.p))
+    assert full_passes[0].rows.tolist() == list(range(s.p))
     for before, after in zip(full_passes, full_passes[1:]):
-        assert set(after.tolist()) <= set(before.tolist())
+        assert set(after.rows.tolist()) <= set(before.rows.tolist())
     assert sum(r.iterations for r in reports) >= 10 * len(full_passes)
     full = _full_design_solve(monkeypatch, s, cfg)
     for a, b in zip(reports, full):
@@ -279,8 +294,9 @@ def test_working_set_solve_matches_the_full_design(monkeypatch, full_passes):
 
 def test_row_past_the_working_set_cap_falls_back(monkeypatch, full_passes):
     # At this small penalty some rows end with more nonzeros than a
-    # table may hold: they finish on the full design, a pass per
-    # evaluation, and are certified as the table rows are.
+    # table may hold: they finish on the full design, where their
+    # evaluations carry Hessians, and are certified as the table rows
+    # are.
     s = _torus_samples()
     cfg = SolverConfig(lam=0.02, kkt_tolerance=1e-8)
     reports = minimize_rows(s.tally, range(s.p), cfg)
@@ -290,9 +306,10 @@ def test_row_past_the_working_set_cap_falls_back(monkeypatch, full_passes):
     narrow = [u for u, r in enumerate(reports)
               if np.count_nonzero(r.solution) <= solver._WORKING_SET]
     assert wide and narrow
-    passes = [sum(u in rows for rows in full_passes) for u in range(s.p)]
+    # Each wide row's full-design solve evaluates its start and at least
+    # one trial.
     for u in wide:
-        assert passes[u] >= reports[u].iterations // 2
+        assert sum(u in c.rows for c in full_passes if c.hessian) >= 2
     full = _full_design_solve(monkeypatch, s, cfg)
     for a, b in zip(reports, full):
         np.testing.assert_array_equal(a.solution != 0, b.solution != 0)
