@@ -23,8 +23,8 @@ set's one design, and multinomial counts or exact probabilities over
 configuration indices give designs of the same kind, so evaluate_rows,
 which computes any set of rows of Theta in one pass over a design, a
 block of configurations at a time, is the one evaluator for all of
-them. Asked for Hessians, it adds one product a block with the block's
-int8 pair products c_j c_l (j < l), so memory stays flat there too. A
+them. face_hessians gives the Hessians the same way, each row's only on
+the columns its solver step moves, so memory stays flat there too. A
 NodeView is a design plus its focal vertex, so one vertex's loss is the
 one-row evaluate_rows call.
 
@@ -95,37 +95,27 @@ def node_view(samples: SampleSet, u: int) -> NodeView:
     return NodeView(samples.tally, u, samples.n)
 
 
-def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
-                  hessian: bool = False):
+def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
     """Losses of the focal vertices rows[i] at the coupling rows
     theta[i] (len(rows) x p, zero at each focal vertex), in one pass
     over the design in blocks of configurations.
 
-    Returns (values, gradients, saturated), and with hessian the
-    len(rows) x p x p Hessians last: the focal entries of gradients and
-    Hessians are 0; saturated[i] tells whether row i's linear forms hit
-    the clamp. The design's weights are one row shared by every focal
-    vertex, or len(rows) rows, row i for rows[i] (pattern_table).
+    Returns (values, gradients, saturated): the focal entries of
+    gradients are 0; saturated[i] tells whether row i's linear forms
+    hit the clamp. The design's weights are one row shared by every
+    focal vertex, or len(rows) rows, row i for rows[i] (pattern_table).
     """
     spins, weights, total = design
-    p = spins.shape[0]
-    values = grads = pairs = 0.0
+    values = grads = 0.0
     saturated = np.zeros(len(rows), dtype=bool)
     # |z| <= ||theta[i]||_1 on +/-1 configurations, so rows below half
     # the limit cannot reach it and skip the check.
     risky = np.abs(theta).sum(axis=1) > LINEAR_FORM_LIMIT / 2
     check = risky.any()
     negated = -theta
-    # Hessian entry (j, k) sums the weighted c_j c_k, one product a block
-    # with the block's int8 pair products (j < k; the diagonal is the
-    # value) or, if smaller, each row's weighted copy of the block.
-    j, k = np.triu_indices(p, 1)
-    by_pairs = j.size <= len(rows) * p
-    block = max(1, _BLOCK_ENTRIES // max(len(rows), p, hessian * min(
-        j.size, len(rows) * p)))
+    block = max(1, _BLOCK_ENTRIES // max(len(rows), spins.shape[0]))
     for lo in range(0, spins.shape[1], block):
-        s = spins[:, lo:lo + block]
-        c = s.astype(np.float64)
+        c = spins[:, lo:lo + block].astype(np.float64)
         focal = c[rows]
         e = negated @ c
         e *= focal
@@ -137,26 +127,32 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
         # Along the contiguous axis numpy sums pairwise, which keeps the
         # rounding far below the solver's 1e-15 slack.
         values = values + e.sum(axis=1)
-        if hessian and by_pairs:
-            pairs = pairs + e @ (s[j] * s[k]).T
-        elif hessian:
-            pairs = pairs + (e[:, None] * c).reshape(-1, c.shape[1]) @ c.T
         e *= focal
         grads = grads + e @ c.T
     values /= total
     grads /= -total
-    index = np.arange(len(rows))
-    grads[index, rows] = 0.0
-    if not hessian:
-        return values, grads, saturated
-    if by_pairs:
-        hess = np.empty((len(rows), p, p))
-        hess[:, j, k] = hess[:, k, j] = pairs / total
-        hess[:, np.arange(p), np.arange(p)] = values[:, None]
-    else:
-        hess = pairs.reshape(len(rows), p, p) / total
-    hess[index, rows] = hess[index, :, rows] = 0.0
-    return values, grads, saturated, hess
+    grads[np.arange(len(rows)), rows] = 0.0
+    return values, grads, saturated
+
+
+def face_hessians(design: Design, rows: np.ndarray, theta: np.ndarray,
+                  faces: np.ndarray) -> np.ndarray:
+    """The Hessians of the losses of evaluate_rows(design, rows, theta)
+    on the columns faces[i] of row i (len(rows) x k; a focal column's
+    entries are not masked): len(rows) x k x k, one batched product a
+    block with each row's weighted copy of its k columns of the block."""
+    spins, weights, total = design
+    hess = 0.0
+    block = max(1, _BLOCK_ENTRIES // faces.size)
+    for lo in range(0, spins.shape[1], block):
+        c = spins[:, lo:lo + block].astype(np.float64)
+        e = (theta @ c) * -c[rows]
+        np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
+        np.exp(e, out=e)
+        e *= weights[..., lo:lo + block]
+        f = c[faces]
+        hess = hess + (f * e[:, None]) @ f.transpose(0, 2, 1)
+    return hess / total
 
 
 def pattern_table(design: Design, rows, cols) -> Design:

@@ -1,7 +1,6 @@
 """Proximal-Newton solver for the l1-penalized screening loss.
 
-minimize_rows(design, rows, config) solves, for each focal vertex u in
-rows,
+minimize_rows(design, rows, config) solves, for each focal vertex u in rows,
 
     min_theta  S_u(theta) + lam * ||theta||_1
 
@@ -9,20 +8,22 @@ by proximal Newton steps on a predicted face (Lee, Sun & Saunders 2014;
 newGLMNET's orthant-wise step, Yuan, Ho & Lin 2012). Each round a row's
 face A is its support, signed s by its coordinates, and the zeros whose
 |gradient| exceeds lam, signed against the gradient; the row solves
-H_AA d = -(g_A + lam s_A) with the loss's exact Hessian H
-(screening.evaluate_rows), and its trial is theta + t d projected onto
-the face's orthant (a coordinate that would cross 0 stops at 0), t = 1
-halved until the line search accepts. A row whose system is singular or
-not finite (fewer distinct configurations than coordinates, a clamped
-row) takes the soft-thresholded gradient step, from t = 1 / S_u, that
-round instead. A trial is accepted when its composite objective falls
-by a quarter of what its linear model promises (Armijo) and by more
-than float resolution (one part in 1e15), or stays within that
-resolution and lowers the optimality residual: near the minimum, true
-descent is smaller than float64 objective comparisons can witness, and
-the certificate is what still improves. A row whose line search runs
-out (_LINE_SEARCH halvings), or whose accepted trial is its iterate
-itself, stalls and finishes.
+H_AA d = -(g_A + lam s_A) with the loss's exact Hessian on the face at
+the iterate (screening.face_hessians), plus the row's residual on the
+diagonal where H_AA is singular (the regularized Newton step of Li,
+Fukushima, Qi & Yamashita 2004: equal columns, fewer distinct
+configurations than coordinates), and its trial is theta + t d
+projected onto the face's orthant (a coordinate that would cross 0
+stops at 0), t = 1 halved until the line search accepts. A row whose
+system is still singular or not finite (a clamped row), or whose Newton
+line search runs out, takes the soft-thresholded gradient step, from
+t = 1 / S_u, instead. A trial is accepted when its composite objective
+falls by a quarter of what its linear model promises (Armijo) and by
+more than float resolution (one part in 1e15), or stays within it and
+lowers the optimality residual, which is what still improves near the
+minimum. A row whose gradient step's line search runs out too
+(_LINE_SEARCH halvings), or whose accepted trial is its iterate itself,
+stalls and finishes.
 
 The starting point is the origin, which makes the fully-penalized
 regime exact: the gradient at 0 is an average of +/-1 rows, so
@@ -31,37 +32,37 @@ start elsewhere (x0, such as an earlier fit of the same model): a start
 that meets the tolerance returns after its one evaluation, with 0
 iterations, and one whose objective exceeds the origin's, exactly 1,
 restarts there. An accepted trial becomes the iterate with its own
-evaluation (value, gradient, Hessian, saturation flag and residual), so
-an iteration costs one evaluation plus one per backtrack.
+evaluation (value, gradient, saturation flag and residual): an iteration
+costs a Hessian pass, one evaluation and one per backtrack.
 
 The rows are independent problems, but they share their data, so one
-loop (_newton) advances all of them in lockstep: a round solves their
-Newton systems in one batched call, each step of its line search
-evaluates the rows still searching in one screening.evaluate_rows
-call, and rows drop out as they converge (at the start point too),
-stall or reach their iteration cap. minimize(view, config) is the
-one-row case: a view is the shared design plus its focal vertex.
+loop (_newton) advances all of them in lockstep: a round takes their
+Hessians in one pass and solves their Newton systems in one batched call
+(both in batches of _HESSIAN_ENTRIES), each step of its line search
+evaluates the rows still searching in one screening.evaluate_rows call,
+and rows drop out as they converge (at the start point too), stall or
+reach their iteration cap. minimize(view, config) is the one-row case: a
+view is the shared design plus its focal vertex.
 
 Wide rows are solved on working sets (Blitz, Johnson & Guestrin 2015;
-Celer, Massias, Gramfort & Salmon 2018). The l1 penalty leaves most of
-a row's coordinates at exactly 0, and at a theta supported on a set W
-the loss, and its gradient on W, read the data only through the weight
-of each sign pattern of sigma_u * sigma_W: the row's
+Celer, Massias, Gramfort & Salmon 2018). The l1 penalty leaves most of a
+row's coordinates at exactly 0, and at a theta supported on a set W the
+loss, and its gradient on W, read the data only through the weight of
+each sign pattern of sigma_u * sigma_W: the row's
 screening.pattern_table, 2^|W| columns whatever the sample. After one
-full pass over the design, each uncertified row's W is its support, after
-the first round every coordinate that violates the optimality system
-too, and then its largest |gradient| entries up to _WORKING_SET; the
-rows are solved by the same loop on their tables, from their support,
-and a new full pass certifies them or starts another round. A row whose W
-would exceed _WORKING_SET_CAP or reach half its p - 1 coordinates, or
-that stalls on its table, is solved on the full design instead, as
-every row is for p <= 2 * _WORKING_SET + 1, from the full pass, which
-then gives the Hessians too. Each report counts table and full-design
-work together (iterations, evaluations, backtracks, stalls), and
-max_iterations caps a row's total; restarts counts the far-start
-restarts. Convergence is declared per row on the optimality residual
-(kkt_residual below) of the full gradient, not on objective or iterate
-drift.
+full pass over the design, each uncertified row's W is its support,
+after the first round every coordinate that violates the optimality
+system too, and then its largest |gradient| entries up to _WORKING_SET;
+the rows are solved by the same loop on their tables, from their
+support, and a new full pass certifies them or starts another round. A
+row whose W would exceed _WORKING_SET_CAP or reach half its p - 1
+coordinates, or that stalls on its table, is solved on the full design
+instead, as every row is for p <= 2 * _WORKING_SET + 1, from the full
+pass. Each report counts table and full-design work together
+(iterations, evaluations, backtracks, stalls), and max_iterations caps a
+row's total; restarts counts the far-start restarts. Convergence is
+declared per row on the optimality residual (kkt_residual below) of the
+full gradient, not on objective or iterate drift.
 """
 
 from __future__ import annotations
@@ -74,16 +75,18 @@ import numpy as np
 
 from .errors import InputError
 from .sampler import Design
-from .screening import NodeView, evaluate_rows, focal_row, pattern_table
+from .screening import (NodeView, evaluate_rows, face_hessians, focal_row,
+                        pattern_table)
 
-# A round's line search halves a row's step at most _LINE_SEARCH times;
-# a row whose last trial still fails stalls.
+# A line search halves a row's step at most _LINE_SEARCH times.
 _LINE_SEARCH = 40
 # A row's working set holds at least _WORKING_SET coordinates; a row
 # whose set would exceed _WORKING_SET_CAP, or reach half its width, is
 # solved on the full design.
 _WORKING_SET = 8
 _WORKING_SET_CAP = 12
+# Entries in one batch of Newton systems: flat memory for many rows.
+_HESSIAN_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -146,38 +149,33 @@ def _kkt_rows(gradients, theta, lam: float) -> np.ndarray:
     return r.max(axis=1, initial=0.0)
 
 
-def _newton_steps(system, rhs) -> np.ndarray:
-    """Each row's solution of its linear system, NaN where it is
-    singular."""
+def _newton_steps(system, rhs, damping) -> np.ndarray:
+    """Each row's solution of its linear system; a singular one is
+    solved again with its damping added to the diagonal, and is NaN if
+    that is singular too (or damping is None)."""
     try:
         return np.linalg.solve(system, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:  # find the singular ones one by one
-        return np.full_like(rhs, np.nan) if len(rhs) == 1 else np.vstack(
-            [_newton_steps(a[None], b[None]) for a, b in zip(system, rhs)])
+        if len(rhs) > 1:
+            return np.vstack([_newton_steps(a[None], b[None], m[None])
+                              for a, b, m in zip(system, rhs, damping)])
+        if damping is None:
+            return np.full_like(rhs, np.nan)
+        return _newton_steps(system + damping * np.eye(len(rhs[0])), rhs, None)
 
 
 # Once a solve: a far trial (an overflowing l1 norm or linear form, or
 # a step 1 / S_u with S_u = 0) is not finite and fails the line search.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _newton(evaluate, x, saturated, lam: float, tol: float,
-            budget: np.ndarray, start=None):
+def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
+            budget: np.ndarray):
     """Run the scheme of the module docstring on r rows at once from
-    the starts x. evaluate(i, theta) returns the values, gradients,
-    saturation flags and Hessians of the rows i at theta; start holds
-    the starts' values, gradients and Hessians, or is None and the
-    starts are evaluated here. budget caps each row's iterations.
-
-    Returns each row's last accepted iterate, objective, residual and
-    saturation flag, and a 4 x r array of its iterations, evaluations,
-    backtracks and stalls.
-    """
+    the starts x, with their values and gradients; design_of(i) gives
+    the design and focal vertices of the rows i. budget caps each row's
+    iterations. Returns each row's last accepted iterate, objective,
+    residual and saturation flag, and a 4 x r array of its iterations,
+    evaluations (its start's not counted), backtracks and stalls."""
     r, p = x.shape
-    evals = np.zeros(r, dtype=np.int64)
-    if start is None:
-        value, grad, sat, hess = evaluate(np.arange(r), x)
-        saturated, evals[:] = saturated | sat, 1
-    else:
-        value, grad, hess = start
     obj = value + lam * np.abs(x).sum(axis=1)
     residual = _kkt_rows(grad, x, lam)
     backtracks, stalls = np.zeros((2, r), dtype=np.int64)
@@ -186,7 +184,7 @@ def _newton(evaluate, x, saturated, lam: float, tol: float,
     out_sat, out_iter = np.empty(r, dtype=bool), np.empty(r, dtype=np.int64)
 
     # Per-row state, compacted to the unfinished rows.
-    pos, eye = np.arange(r), np.eye(p, dtype=bool)
+    pos = np.arange(r)
     done = residual <= tol
     for iteration in itertools.count():
         # Rows finish when they converge (at the start too) or stall, and
@@ -197,39 +195,47 @@ def _newton(evaluate, x, saturated, lam: float, tol: float,
             out_x[i], out_obj[i], out_res[i] = (x[done], obj[done],
                                                 residual[done])
             out_sat[i], out_iter[i] = saturated[done], iteration
-            (pos, budget, x, value, grad, hess, obj, residual,
-             saturated) = (a[~done] for a in (pos, budget, x, value, grad,
-                                              hess, obj, residual, saturated))
+            pos, budget, x, value, grad, obj, residual, saturated = (
+                a[~done] for a in (pos, budget, x, value, grad, obj,
+                                   residual, saturated))
         if pos.size == 0:
             break
-        # The face, its Newton steps, and a gradient step where the
-        # system is singular.
+        # Each row's face and its Newton step, on the face's columns
+        # padded to the widest face with identity rows, in chunks.
         on = x != 0.0
         face = on | (np.abs(grad) > lam)
         sign = np.where(on, np.sign(x), -np.sign(grad)) * face
-        direction = _newton_steps(
-            np.where(face[:, :, None] & face[:, None, :], hess, eye),
-            -(grad + lam * sign) * face)
+        k = face.sum(axis=1).max(initial=1)
+        cols = np.argsort(~face, axis=1, kind="stable")[:, :k]
+        inside = np.take_along_axis(face, cols, axis=1)
+        rhs = -np.take_along_axis(grad + lam * sign, cols, axis=1) * inside
+        direction = np.zeros_like(x)
+        chunk = max(1, _HESSIAN_ENTRIES // (k * k))
+        for c in (slice(lo, lo + chunk) for lo in range(0, pos.size, chunk)):
+            hess = face_hessians(*design_of(pos[c]), x[c], cols[c])
+            system = np.where(inside[c, :, None] & inside[c, None, :], hess,
+                              np.eye(k))
+            np.put_along_axis(direction[c], cols[c],
+                              _newton_steps(system, rhs[c], residual[c]),
+                              axis=1)
         gradient_step = ~np.isfinite(direction).all(axis=1)
         t = np.where(gradient_step, 1.0 / value, 1.0)
 
         # The line search; rows leave it as their trials are accepted,
-        # each with the value, gradient, Hessian, residual and saturation
-        # flag of its own evaluation. The others keep their state.
+        # each with the value, gradient, residual and saturation flag of
+        # its own evaluation. The others keep their state. A Newton
+        # search that runs out starts over from the gradient step.
         slack = 1e-15 * (1.0 + obj)
-        new = [a.copy() for a in (x, value, grad, hess, obj, residual,
-                                  saturated)]
+        new = [a.copy() for a in (x, value, grad, obj, residual, saturated)]
         todo = np.arange(pos.size)
-        for k in range(_LINE_SEARCH + 1):
-            if k:
-                t[todo] *= 0.5
-                backtracks[pos[todo]] += 1
+        halvings = np.zeros(pos.size, dtype=np.int64)
+        while todo.size:
             at, ts = x[todo], t[todo, None]
             trial = at + ts * direction[todo]
             trial = np.where(gradient_step[todo, None],
                              soft_threshold(at - ts * grad[todo], ts * lam),
                              np.where(trial * sign[todo] > 0.0, trial, 0.0))
-            v, gr, sat, h = evaluate(pos[todo], trial)
+            v, gr, sat = evaluate_rows(*design_of(pos[todo]), trial)
             pen = lam * np.abs(trial).sum(axis=1)
             res = _kkt_rows(gr, trial, lam)
             promised = ((grad[todo] * (trial - at)).sum(axis=1) + pen
@@ -237,22 +243,27 @@ def _newton(evaluate, x, saturated, lam: float, tol: float,
             change = v + pen - obj[todo]
             ok = ((change <= np.minimum(0.25 * promised, 0.0) - slack[todo])
                   | ((np.abs(change) <= slack[todo]) & (res < residual[todo])))
-            for arr, val in zip(new, (trial, v, gr, h, v + pen, res)):
+            for arr, val in zip(new, (trial, v, gr, v + pen, res)):
                 arr[todo[ok]] = val[ok]
-            new[6][todo[ok]] |= sat[ok]
+            new[5][todo[ok]] |= sat[ok]
             todo = todo[~ok]
-            if todo.size == 0:
-                break
-        # A row stalls when its line search runs out, or when its
-        # accepted trial is its iterate itself.
+            t[todo] *= 0.5
+            halvings[todo] += 1
+            spent = todo[halvings[todo] > _LINE_SEARCH]
+            again = spent[~gradient_step[spent]]
+            gradient_step[again], t[again], halvings[again] = (
+                True, 1.0 / value[again], 0)
+            todo = todo[halvings[todo] <= _LINE_SEARCH]
+            backtracks[pos[todo]] += 1
+        # A row stalls when its gradient step's line search runs out too,
+        # or when its accepted trial is its iterate itself.
         stall = ~(new[0] != x).any(axis=1)
         stalls[pos[stall]] += 1
-        x, value, grad, hess, obj, residual, saturated = new
+        x, value, grad, obj, residual, saturated = new
         done = stall | (residual <= tol)
 
-    evals += out_iter + backtracks
     return (out_x, out_obj, out_res, out_sat,
-            np.array([out_iter, evals, backtracks, stalls]))
+            np.array([out_iter, out_iter + backtracks, backtracks, stalls]))
 
 
 def minimize_rows(design: Design, rows, config: SolverConfig,
@@ -279,18 +290,11 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
     counts = np.zeros((5, r), dtype=np.int64)
     # Rows that stalled on a table finish on the full design.
     to_full = np.zeros(r, dtype=bool)
-    # Rows 2 * _WORKING_SET wide or less all solve on the full design,
-    # from the full pass, which then gives their Hessians too.
-    small = 2 * _WORKING_SET >= p - 1
-    hess = np.empty((r, p, p)) if small else None
 
     def full_pass(i):
-        value[i], grad[i], sat, *h = evaluate_rows(design, rows[i], x[i],
-                                                   small)
+        value[i], grad[i], sat = evaluate_rows(design, rows[i], x[i])
         counts[1, i] += 1
         saturated[i] |= sat
-        if small:
-            hess[i] = h[0]
 
     live, first = np.arange(r), True
     while True:
@@ -320,11 +324,9 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
                 | (sizes > _WORKING_SET_CAP))
         f = live[full]
         if f.size:
-            f_rows = rows[f]
             x[f], obj[f], residual[f], saturated[f], run = _newton(
-                lambda i, th: evaluate_rows(design, f_rows[i], th, True),
-                x[f], saturated[f], lam, tol, cap - counts[0, f],
-                (value[f], grad[f], hess[f]) if small else None)
+                lambda i: (design, rows[f[i]]), x[f], value[f], grad[f],
+                saturated[f], lam, tol, cap - counts[0, f])
             counts[:4, f] += run
         live = live[~full]
         if live.size == 0:
@@ -335,18 +337,20 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
         work = np.zeros_like(must)
         np.put_along_axis(work, order, np.arange(p) < sizes[:, None], axis=1)
         # Solve each group of rows whose sets share a size on one pattern
-        # design with per-row weights, from the row's support.
+        # design with per-row weights, from the last full pass.
         for k in np.unique(sizes):
             grp = sizes == k
             t = live[grp]
             cols = np.nonzero(work[grp])[1].reshape(-1, k)
             table = pattern_table(design, rows[t], cols)
-            start = np.hstack([np.zeros((t.size, 1)), x[t[:, None], cols]])
+            start, start_grad = np.zeros((2, t.size, k + 1))
+            start[:, 1:] = x[t[:, None], cols]
+            start_grad[:, 1:] = grad[t[:, None], cols]
             sol, _, res, saturated[t], run = _newton(
-                lambda i, th: evaluate_rows(
-                    table._replace(weights=table.weights[i]),
-                    np.zeros(len(i), dtype=np.int64), th, True),
-                start, saturated[t], lam, tol, cap - counts[0, t])
+                lambda i: (table._replace(weights=table.weights[i]),
+                           np.zeros(len(i), dtype=np.int64)),
+                start, value[t], start_grad, saturated[t], lam, tol,
+                cap - counts[0, t])
             x[t] = 0.0
             x[t[:, None], cols] = sol[:, 1:]
             counts[:4, t] += run

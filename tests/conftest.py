@@ -41,16 +41,19 @@ class FullPass(NamedTuple):
 
 @pytest.fixture
 def full_passes(monkeypatch):
-    """The focal rows of each evaluate_rows call the solver makes on a
-    full design (one shared row of weights, not a pattern table), and
-    whether it asked for the Hessians, in call order."""
+    """The focal rows of each evaluate_rows and face_hessians call the
+    solver makes on a full design (one shared row of weights, not a
+    pattern table), and whether it was a face_hessians call, in call
+    order."""
     calls = []
-    evaluate_rows = solver_module.evaluate_rows
 
-    def counting(design, rows, theta, hessian=False):
-        if design.weights.ndim == 1:
-            calls.append(FullPass(np.array(rows), bool(hessian)))
-        return evaluate_rows(design, rows, theta, hessian)
+    def counting(function, hessian):
+        def wrapped(design, rows, *args):
+            if design.weights.ndim == 1:
+                calls.append(FullPass(np.array(rows), hessian))
+            return function(design, rows, *args)
+        monkeypatch.setattr(solver_module, function.__name__, wrapped)
 
-    monkeypatch.setattr(solver_module, "evaluate_rows", counting)
+    counting(solver_module.evaluate_rows, False)
+    counting(solver_module.face_hessians, True)
     return calls

@@ -9,7 +9,7 @@ from isinglearn import (InputError, IsingModel, SampleSet, empirical_covariance,
                         screening_value, taylor_remainder)
 from isinglearn.model import configurations_from_indices
 from isinglearn.screening import (LINEAR_FORM_LIMIT, evaluate_rows,
-                                  pattern_table)
+                                  face_hessians, pattern_table)
 
 
 def _brute_force(samples: SampleSet, u: int, theta: np.ndarray):
@@ -275,42 +275,33 @@ def _per_sample_hessian(samples: SampleSet, u: int, theta_row):
 
 @pytest.mark.parametrize("p", [5, 16])
 def test_hessian_matches_per_sample_formula(p):
-    # The Hessians come from the pass that gives the values and
-    # gradients (up to the rounding of its smaller blocks), on the tally
-    # and on each row's pattern table (per-row weights), whose Hessian
-    # is the tally's on the row's columns. All p rows take the pair
-    # products, one row alone its weighted copy of each block.
+    # Each row's Hessian on its face columns (any order), for all rows
+    # at once and one row alone, on the tally and on each row's pattern
+    # table (per-row weights), whose Hessian is the tally's on the row's
+    # columns.
     rng = np.random.default_rng(p)
     data = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3000, p))
     s = SampleSet(p, len(data), data)
     rows = np.arange(p)
     k = min(6, p - 1)
-    cols = np.array([np.sort(rng.choice(np.delete(rows, u), k, replace=False))
+    cols = np.array([rng.choice(np.delete(rows, u), k, replace=False)
                      for u in rows])
     theta = np.zeros((p, p))
     theta[rows[:, None], cols] = rng.normal(scale=0.4, size=cols.shape)
-    values, grads, saturated, hess = evaluate_rows(s.tally, rows, theta,
-                                                   hessian=True)
-    plain_values, plain_grads, plain_saturated = evaluate_rows(
-        s.tally, rows, theta)
-    np.testing.assert_allclose(values, plain_values, rtol=1e-14)
-    np.testing.assert_allclose(grads, plain_grads, rtol=1e-13, atol=1e-15)
-    assert np.array_equal(saturated, plain_saturated)
+    values, _, _ = evaluate_rows(s.tally, rows, theta)
+    hess = face_hessians(s.tally, rows, theta, cols)
     table = pattern_table(s.tally, rows, cols)
     restricted = np.zeros((p, k + 1))
     restricted[:, 1:] = theta[rows[:, None], cols]
-    *_, t_hess = evaluate_rows(table, np.zeros(p, dtype=np.int64),
-                               restricted, hessian=True)
+    t_hess = face_hessians(table, np.zeros(p, dtype=np.int64), restricted,
+                           np.tile(np.arange(1, k + 1), (p, 1)))
     for u in rows:
-        want = _per_sample_hessian(s, u, theta[u])
+        want = _per_sample_hessian(s, u, theta[u])[cols[u][:, None], cols[u]]
         scale = 1e-12 * values[u]
         np.testing.assert_allclose(hess[u], want, rtol=1e-12, atol=scale)
-        *_, alone = evaluate_rows(s.tally, [u], theta[[u]], hessian=True)
+        alone = face_hessians(s.tally, [u], theta[[u]], cols[[u]])
         np.testing.assert_allclose(alone[0], want, rtol=1e-12, atol=scale)
-        assert np.all(t_hess[u, 0] == 0.0) and np.all(t_hess[u, :, 0] == 0.0)
-        np.testing.assert_allclose(t_hess[u, 1:, 1:],
-                                   want[cols[u][:, None], cols[u]],
-                                   rtol=1e-12, atol=scale)
+        np.testing.assert_allclose(t_hess[u], want, rtol=1e-12, atol=scale)
 
 
 def test_dimension_mismatch_rejected():

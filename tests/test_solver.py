@@ -221,18 +221,38 @@ def test_far_start_overflow_raises_no_warning():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_copied_spin_solves_without_a_warning():
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.2])
+def test_copied_spin_solves_without_a_warning(lam):
     # Spin 1 copies spin 0, so the rows of the other vertices see two
-    # equal columns and, at lam = 0, singular Hessians; rows 0 and 1 see
-    # a loss whose infimum 0 is approached as their coupling grows. Every
-    # row is still certified on a full pass, and numpy stays silent.
+    # equal columns and singular Hessians once both are on the face;
+    # at lam = 0 rows 0 and 1 see a loss whose infimum 0 is approached
+    # as their coupling grows. The damped Newton step keeps every row
+    # within a few dozen rounds (plain gradient steps took up to 1469),
+    # each is certified on a full pass, and numpy stays silent.
     data = sample_exact(make_grid_model(3, 0.7), 2000, seed=6).data.copy()
     data[:, 1] = data[:, 0]
     s = SampleSet(9, 2000, data)
-    cfg = SolverConfig(lam=0.0, kkt_tolerance=1e-8)
+    cfg = SolverConfig(lam=lam, kkt_tolerance=1e-8)
     reports = minimize_rows(s.tally, range(9), cfg)
     assert all(np.isfinite(r.objective_value) for r in reports)
+    assert all(r.iterations <= 30 and r.stalls == 0 for r in reports)
     _certified_on_a_full_pass(s, reports, cfg)
+
+
+def test_newton_search_that_runs_out_takes_a_gradient_step(monkeypatch):
+    # With every Newton step zeroed, no Newton trial is accepted: each
+    # round's search runs out and starts over from the gradient step in
+    # the same round, so the rows converge on gradient steps alone,
+    # without a stall.
+    monkeypatch.setattr(solver, "_newton_steps",
+                        lambda system, rhs, damping: np.zeros_like(rhs))
+    s = sample_exact(make_grid_model(2, 0.5), 2000, seed=3)
+    cfg = SolverConfig(lam=0.05, kkt_tolerance=1e-6)
+    reports = minimize_rows(s.tally, range(4), cfg)
+    _certified_on_a_full_pass(s, reports, cfg)
+    for r in reports:
+        assert r.iterations > 0 and r.stalls == 0
+        assert r.backtracks >= (solver._LINE_SEARCH + 1) * r.iterations
 
 
 def _torus_samples():
@@ -275,9 +295,9 @@ def test_working_set_solve_matches_the_full_design(monkeypatch, full_passes):
     reports = minimize_rows(s.tally, range(s.p), cfg)
     _certified_on_a_full_pass(s, reports, cfg)
     # One full pass at the start and one per outer round: every Newton
-    # iteration ran on the tables, so no pass asked for Hessians, and
-    # each pass after the first evaluates only rows the one before left
-    # uncertified.
+    # iteration ran on the tables, so no Hessian was taken on the full
+    # design, and each pass after the first evaluates only rows the one
+    # before left uncertified.
     assert builds and all(k == solver._WORKING_SET for _, k in builds)
     assert not any(c.hessian for c in full_passes)
     assert len(full_passes) <= 1 + len(builds)
@@ -294,8 +314,8 @@ def test_working_set_solve_matches_the_full_design(monkeypatch, full_passes):
 
 def test_row_past_the_working_set_cap_falls_back(monkeypatch, full_passes):
     # At this small penalty some rows end with more nonzeros than a
-    # table may hold: they finish on the full design, where their
-    # evaluations carry Hessians, and are certified as the table rows
+    # table may hold: they finish on the full design, where their Newton
+    # rounds take their Hessians, and are certified as the table rows
     # are.
     s = _torus_samples()
     cfg = SolverConfig(lam=0.02, kkt_tolerance=1e-8)
@@ -306,11 +326,36 @@ def test_row_past_the_working_set_cap_falls_back(monkeypatch, full_passes):
     narrow = [u for u, r in enumerate(reports)
               if np.count_nonzero(r.solution) <= solver._WORKING_SET]
     assert wide and narrow
-    # Each wide row's full-design solve evaluates its start and at least
-    # one trial.
+    # Each wide row's full-design solve takes at least two rounds.
     for u in wide:
         assert sum(u in c.rows for c in full_passes if c.hessian) >= 2
     full = _full_design_solve(monkeypatch, s, cfg)
     for a, b in zip(reports, full):
         np.testing.assert_array_equal(a.solution != 0, b.solution != 0)
         np.testing.assert_allclose(a.solution, b.solution, atol=1e-5)
+
+
+def test_many_wide_rows_batch_their_newton_systems(monkeypatch):
+    # At this penalty all 36 rows end wider than a table may hold and
+    # finish on the full design. Each round takes their Hessians only
+    # on their faces, in batches of rows whose systems hold at most
+    # _HESSIAN_ENTRIES entries (shrunk here to 8192, under 8 rows of 35
+    # columns), so memory does not grow with the number of rows.
+    s = _torus_samples()
+    cfg = SolverConfig(lam=0.005, kkt_tolerance=1e-8)
+    batches = []
+    face_hessians = solver.face_hessians
+
+    def recording(design, rows, theta, faces):
+        if design.weights.ndim == 1:
+            batches.append(faces.shape)
+        return face_hessians(design, rows, theta, faces)
+
+    monkeypatch.setattr(solver, "face_hessians", recording)
+    monkeypatch.setattr(solver, "_HESSIAN_ENTRIES", 1 << 13)
+    reports = minimize_rows(s.tally, range(s.p), cfg)
+    _certified_on_a_full_pass(s, reports, cfg)
+    assert all(np.count_nonzero(r.solution) > solver._WORKING_SET_CAP
+               for r in reports)
+    assert sum(rows for rows, _ in batches) >= 2 * s.p
+    assert all(rows * k * k <= 1 << 13 and k < s.p for rows, k in batches)
