@@ -141,9 +141,9 @@ def test_all_node_fit_matches_one_row_fits(p):
 
 @pytest.mark.parametrize("p", [9, 16, 70])
 def test_solver_counters_add_up(p):
-    # The start is one evaluation; each iteration evaluates its
-    # candidate (again for each backtrack) and, unless the row restarts,
-    # stalls or finishes, its momentum point.
+    # The start is one evaluation, each table solve's start may be a
+    # full pass, and each iteration evaluates its trial, again for each
+    # backtrack.
     s = _samples(p)
     estimates = fit_all_nodes(s, lambda_schedule(p, s.n, 0.05),
                               SolverConfig(kkt_tolerance=1e-8))
