@@ -7,10 +7,10 @@ sigma_j). Edges are stored canonically with i < j and a missing edge
 means a zero coupling.
 
 Exact quantities (partition function, probabilities, the full
-distribution, the exact sampler's CDF) read one enumeration of all 2**p
-configurations, made on the first use of any of them and kept, read
-only, on the model: a model is enumerated at most once, and an equal
-model built afresh enumerates again. Enumeration is guarded by
+distribution, the exact sampler's tables) read one enumeration of all
+2**p configurations, made on the first use of any of them and kept,
+read only, on the model: a model is enumerated at most once, and an
+equal model built afresh enumerates again. Enumeration is guarded by
 ENUMERATION_LIMIT. Configuration index k encodes spins little-endian:
 spin i of configuration k is +1 iff bit i of k is set.
 """
@@ -152,11 +152,30 @@ class IsingModel:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        """The cumulative probabilities, ending at exactly 1.0 (read-only)."""
+        """The cumulative probabilities (read-only), cut at and ending at 1."""
         cdf = np.cumsum(self._enumeration[0])
+        np.minimum(cdf, 1.0, out=cdf)
         cdf[-1] = 1.0
         cdf.flags.writeable = False
         return cdf
+
+    @cached_property
+    def _guide(self) -> np.ndarray:
+        """The CDF's guide table (read-only int32): of B = 2^min(p+2, 22)
+        buckets, b holds #(cdf <= b/B), or -1 if cdf cuts (b/B, (b+1)/B)."""
+        size, done = 1 << min(self.p + 2, 22), 0
+        guide = np.empty(size, dtype=np.int32)
+        # cdf <= b/B iff ceil(cdf * B) <= b, exact for B a power of two.
+        for lo in range(0, 1 << self.p, 1 << 14):  # no B-long temporaries
+            scaled = self._cdf[lo:lo + (1 << 14)] * size
+            ends = np.ceil(scaled).astype(np.int64)
+            guide[done:ends[-1]] = np.repeat(
+                np.arange(lo, lo + ends.size, dtype=np.int32),
+                np.diff(ends, prepend=done))
+            cut, done = np.floor(scaled), ends[-1]
+            guide[cut[cut != scaled].astype(np.int64)] = -1
+        guide.flags.writeable = False
+        return guide
 
 
 def beta_d(model: IsingModel) -> float:

@@ -13,8 +13,8 @@ A sample set is read through its tally (SampleSet.tally): a Design,
 the distinct configurations up to the global flip as int8 columns with
 their counts, ascending by configuration index for p <= 64 and by their
 words, word 0 first, above (tally_configurations gives the layout). An
-exact draw keeps its uniforms, counts its tally from them against the
-CDF its model keeps and decodes its rows only when data is first read.
+exact draw keeps its uniforms and reads its tally, its file and its
+rows (decoded on first read) through one guide-table lookup of them.
 Designs built from weights over configuration indices (multinomial
 counts, exact probabilities) have the same form, so every loss and
 second moment reads one kind of data.
@@ -87,16 +87,14 @@ def tally_configurations(data: np.ndarray) -> Design:
 
 def _tally_words(words: np.ndarray, p: int) -> Design:
     """tally_configurations of n rows given as n x W words, bits past p
-    clear; the words are flipped in place."""
+    clear; above p = 21 the words are flipped in place."""
+    if p <= 21:
+        return _tally_indices(words[:, 0].view(np.int64), p)
     # Rows with spin 0 at -1 are flipped: XOR with the p-bit mask.
     mask = np.full(words.shape[1], ~np.uint64(0))
     mask[-1] >>= np.uint64(-p % 64)
     words ^= ((words[:, :1] & 1) - 1) & mask
-    if p - 1 <= 20:
-        full = np.bincount(words[:, 0].view(np.int64), minlength=1 << p)
-        distinct = np.flatnonzero(full)
-        counts = full[distinct]
-    elif words.shape[1] == 1:
+    if words.shape[1] == 1:
         distinct, counts = np.unique(words[:, 0], return_counts=True)
     else:
         # As big-endian bytes a row sorts by its words, word 0 first.
@@ -107,15 +105,13 @@ def _tally_words(words: np.ndarray, p: int) -> Design:
     return _indexed_design(distinct, counts, p, words.shape[0])
 
 
-def _drawn_tally(cdf: np.ndarray, u: np.ndarray, p: int) -> Design:
-    """tally_configurations of the rows sample_exact decodes, without
-    decoding them: index k takes the uniforms in [cdf[k-1], cdf[k]),
-    and each odd index k is folded with its flip 2^p - 1 - k."""
-    counts = np.diff(np.searchsorted(np.sort(u), cdf), prepend=0)
-    folded = counts[1::2] + counts[-2::-2]
-    codes = np.flatnonzero(folded)
-    return _indexed_design(codes.astype(np.uint64) * 2 + 1, folded[codes],
-                           p, u.size)
+def _tally_indices(k: np.ndarray, p: int) -> Design:
+    """tally_configurations of the rows with configuration indices k,
+    each counted with its flip 2^p - 1 - k at the odd one of the two."""
+    full = np.bincount(k, minlength=1 << p)
+    full = full[1::2] + full[-2::-2]
+    odd = np.flatnonzero(full)
+    return _indexed_design(odd.astype(np.uint64) * 2 + 1, full[odd], p, k.size)
 
 
 _WORD_LIMIT = 57
@@ -170,9 +166,9 @@ def _second_moments(designs, exclude: int) -> np.ndarray:
 class SampleSet:
     """n configurations of p spins, one row each, entries -1/+1 (int8).
     Treat instances as immutable: tally is computed once and kept. A set
-    drawn by sample_exact (holding the CDF and its uniforms) or read from
-    a binary file with p <= 57 (holding its packed rows) is tallied and
-    written without decoding its rows, and decodes data on first access."""
+    drawn by sample_exact (its model's CDF and guide table, its uniforms)
+    or read from a binary file with p <= 57 (its packed rows) is tallied
+    and written without decoding its rows, decoding data on first access."""
 
     p: int
     n: int
@@ -198,17 +194,21 @@ class SampleSet:
 
     def _words(self) -> np.ndarray:
         """The rows of a drawn or read set as configuration indices."""
-        if "_draw" in self.__dict__:
-            cdf, u = self._draw
-            return np.searchsorted(cdf, u, side="right").astype(np.uint64)
-        return _row_words(self._packed, self.p, self.n)
+        if "_packed" in self.__dict__:
+            return _row_words(self._packed, self.p, self.n)
+        cdf, guide, u = self._draw
+        # np.searchsorted(cdf, u, side="right"), searched only in cut buckets.
+        indices = guide[(u * guide.size).astype(np.int32)]
+        cut = np.flatnonzero(indices < 0)
+        indices[cut] = np.searchsorted(cdf, u[cut], side="right")
+        return indices.astype(np.uint64)
 
     @cached_property
     def tally(self) -> Design:
         """Distinct configurations up to the global flip, with counts;
         every loss and moment of this sample set reads it."""
-        if "_draw" in self.__dict__:
-            return _drawn_tally(*self._draw, self.p)
+        if "_draw" in self.__dict__:  # its model holds 2^p-long arrays
+            return _tally_indices(self._words().view(np.int64), self.p)
         if "_packed" in self.__dict__:
             return _tally_words(self._words()[:, None], self.p)
         return tally_configurations(self.data)
@@ -246,14 +246,15 @@ def _check_memory(nbytes: int, what: str):
 
 def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. configurations by inverse-CDF lookup on the full
-    enumerated distribution, through the CDF the model keeps."""
+    enumerated distribution, through the model's CDF and guide table."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    # The rows, once decoded, and the uniforms.
-    _check_memory(n * (model.p + 8), f"{n} exact samples of p={model.p}")
+    # Per uniform: 8 bytes, and beside them the larger of the lookup's 12
+    # and a word and row, 8 + p (its searches in cut buckets stay under).
+    _check_memory(n * (model.p + 20), f"{n} exact samples of p={model.p}")
     samples = SampleSet.__new__(SampleSet)
-    samples.p, samples.n = model.p, n
-    samples._draw = (model._cdf, np.random.default_rng(seed).random(n))
+    samples.p, samples.n, samples._draw = model.p, n, (
+        model._cdf, model._guide, np.random.default_rng(seed).random(n))
     return samples
 
 

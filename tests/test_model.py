@@ -121,6 +121,11 @@ def test_one_enumeration_per_model(enumerations):
     cdf = first._draw[0]
     assert second._draw[0] is cdf and cdf[-1] == 1.0
     assert not cdf.flags.writeable
+    # And one guide table over it, built from that one enumeration.
+    guide = first._draw[1]
+    assert second._draw[1] is guide and guide is m._guide
+    assert guide.dtype == np.int32 and guide.size == 1 << (m.p + 2)
+    assert not guide.flags.writeable
     # One shared, read-only distribution.
     dist = exact_distribution(m)
     assert exact_distribution(m) is dist and not dist.flags.writeable

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from isinglearn import (GlauberConfig, InputError, IsingModel, SampleSet,
-                        empirical_covariance, exact_distribution,
-                        make_grid_model, make_random_model,
+from isinglearn import (CapabilityError, GlauberConfig, InputError,
+                        IsingModel, SampleSet, empirical_covariance,
+                        exact_distribution, make_grid_model, make_random_model,
                         read_samples_binary, read_samples_text, sample_exact,
                         sample_glauber, write_samples_binary,
                         write_samples_text)
@@ -338,6 +338,76 @@ def test_drawn_rows_are_the_inverse_cdf_rows(model, seed):
     assert np.array_equal(s.data, _old_exact_rows(model, 1000, seed))
     # Decoded once, then kept.
     assert s.data is s.data
+
+
+def _edge_uniforms(model: IsingModel) -> np.ndarray:
+    """0, the largest double below 1, every CDF value below 1 and the
+    double just under it, and the edges of the guide buckets that hold
+    those values."""
+    cdf, size = model._cdf, model._guide.size
+    inner = cdf[cdf < 1.0]
+    bucket = np.floor(inner * size)
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], inner,
+                        np.nextafter(inner, 0.0), bucket / size,
+                        (bucket + 1) / size])
+    return u[u < 1.0]
+
+
+# Its probabilities' running sum rounds past 1 before the last
+# configuration, so the model's CDF is cut at 1.
+_PAST_ONE = make_grid_model(3, 1.92, "spin_glass", seed=81)
+
+
+def test_cdf_is_cut_at_one():
+    assert np.cumsum(exact_distribution(_PAST_ONE))[:-1].max() > 1.0
+    cdf = _PAST_ONE._cdf
+    assert np.all(np.diff(cdf) >= 0) and cdf.max() == 1.0
+
+
+@pytest.mark.parametrize("model", _DRAWN_MODELS + [_PAST_ONE],
+                         ids=["glass-3x3", "glass-4x4", "random-9", "gapped",
+                              "one-spin", "past-one"])
+def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
+    u = _edge_uniforms(model)
+    s = sample_exact(model, u.size, seed=0)
+    s._draw = s._draw[:2] + (u,)
+    # The table answers some of these uniforms; where a CDF value cuts a
+    # bucket (on all but the gapped and one-spin models) the search
+    # answers others.
+    answered = model._guide[(u * model._guide.size).astype(np.int32)]
+    assert (answered >= 0).any()
+    assert (answered < 0).any() == (model.p > 3)
+    # The search over the uncut running sum, as draws were looked up.
+    cdf = np.cumsum(exact_distribution(model))
+    cdf[-1] = 1.0
+    want = np.searchsorted(cdf, u, side="right").astype(np.uint64)
+    assert np.array_equal(s._words(), want)
+    got, rows = s.tally, tally_configurations(s.data)
+    assert np.array_equal(got.spins, rows.spins)
+    assert np.array_equal(got.weights, rows.weights)
+    assert got.total == rows.total
+    # Both tallies count by one fold; count the searched indices apart,
+    # each at the odd one of it and its flip.
+    k = want.astype(np.int64)
+    odd, counts = np.unique(np.where(k & 1, k, (1 << model.p) - 1 - k),
+                            return_counts=True)
+    assert got.spins.shape[1] == odd.size
+    assert np.all((got.spins > 0) == ((odd[None, :] >> np.arange(
+        model.p)[:, None]) & 1).astype(bool))
+    assert np.array_equal(got.weights, counts * (got.total / u.size))
+
+
+def test_exact_refusal_counts_the_lookup(monkeypatch):
+    # Memory for the decoded rows and the uniforms, n (p + 8) bytes, is
+    # not enough: the lookup, the tally and the decode need more beside
+    # the uniforms.
+    n, p = 1000, 4
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": n * (p + 12)}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(CapabilityError, match="physical memory"):
+        sample_exact(IsingModel(p, {}), n, seed=0)
+    pages["SC_PHYS_PAGES"] = n * (p + 20)
+    assert sample_exact(IsingModel(p, {}), n, seed=0).n == n
 
 
 def test_exact_draws_enumerate_a_model_once(enumerations):

@@ -385,18 +385,18 @@ def test_fit_all_nodes_tallies_once(monkeypatch):
 
 def test_fit_all_nodes_counts_a_drawn_set_once(monkeypatch):
     calls, rows = [], []
-    drawn = sampler._drawn_tally
+    drawn = sampler._tally_indices
     tally = sampler.tally_configurations
 
-    def counting(cdf, u, p):
-        calls.append((u.size, p))
-        return drawn(cdf, u, p)
+    def counting(indices, p):
+        calls.append((indices.size, p))
+        return drawn(indices, p)
 
     def decoding(data):
         rows.append(data.shape)
         return tally(data)
 
-    monkeypatch.setattr(sampler, "_drawn_tally", counting)
+    monkeypatch.setattr(sampler, "_tally_indices", counting)
     monkeypatch.setattr(sampler, "tally_configurations", decoding)
     s = sample_exact(make_grid_model(3, 0.6), 2000, seed=4)
     fit_all_nodes(s, lambda_schedule(s.p, s.n, 0.05))
