@@ -207,9 +207,7 @@ class SampleSet:
     def tally(self) -> Design:
         """Distinct configurations up to the global flip, with counts;
         every loss and moment of this sample set reads it."""
-        if "_draw" in self.__dict__:  # its model holds 2^p-long arrays
-            return _tally_indices(self._words().view(np.int64), self.p)
-        if "_packed" in self.__dict__:
+        if self.__dict__.keys() & {"_draw", "_packed"}:
             return _tally_words(self._words()[:, None], self.p)
         return tally_configurations(self.data)
 
@@ -233,8 +231,7 @@ class GlauberConfig:
 
 
 def _check_memory(nbytes: int, what: str):
-    """Refuse a draw whose arrays would not fit in physical memory,
-    before any of them is allocated."""
+    """Refuse a draw whose arrays exceed physical memory, before allocating them."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -249,9 +246,12 @@ def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     enumerated distribution, through the model's CDF and guide table."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    # Per uniform: 8 bytes, and beside them the larger of the lookup's 12
-    # and a word and row, 8 + p (its searches in cut buckets stay under).
-    _check_memory(n * (model.p + 20), f"{n} exact samples of p={model.p}")
+    # Per uniform: 8 bytes, a row once decoded (p), and the most one pass
+    # holds beside them: the lookup's 12 (u B, bucket; index, word), 4 + 24 f
+    # with f <= 2^p / B searched in cut buckets, or a file's 9 + p / 4: at
+    # most 16 to p = 21, 28 above. Not the tally's 2^p counts or word sort.
+    _check_memory(n * (8 + model.p + (16 if model.p <= 21 else 28)),
+                  f"{n} exact samples of p={model.p}")
     samples = SampleSet.__new__(SampleSet)
     samples.p, samples.n, samples._draw = model.p, n, (
         model._cdf, model._guide, np.random.default_rng(seed).random(n))
@@ -443,10 +443,10 @@ def _read_samples_text(path) -> SampleSet:
 
 
 def write_samples_binary(samples: SampleSet, path):
-    if "data" in vars(samples):
-        packed = np.packbits(samples.data.reshape(-1) > 0, bitorder="little")
-    else:
+    if samples.__dict__.keys() & {"_draw", "_packed"}:
         packed = _pack_words(samples._words(), samples.p)
+    else:
+        packed = np.packbits(samples.data.reshape(-1) > 0, bitorder="little")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", samples.p, samples.n))

@@ -398,16 +398,18 @@ def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
 
 
 def test_exact_refusal_counts_the_lookup(monkeypatch):
-    # Memory for the decoded rows and the uniforms, n (p + 8) bytes, is
-    # not enough: the lookup, the tally and the decode need more beside
-    # the uniforms.
-    n, p = 1000, 4
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": n * (p + 12)}
+    # Beside the uniforms and the decoded rows, n (p + 8) bytes, the
+    # refusal counts 16 bytes a row for the lookup or the file's words up
+    # to p = 21, and 28 above, where every uniform may be searched.
+    n = 1000
+    pages = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    with pytest.raises(CapabilityError, match="physical memory"):
-        sample_exact(IsingModel(p, {}), n, seed=0)
-    pages["SC_PHYS_PAGES"] = n * (p + 20)
-    assert sample_exact(IsingModel(p, {}), n, seed=0).n == n
+    for p, lookup in [(4, 16), (22, 28)]:
+        pages["SC_PHYS_PAGES"] = n * (p + 8 + lookup) - 1
+        with pytest.raises(CapabilityError, match="physical memory"):
+            sample_exact(IsingModel(p, {}), n, seed=0)
+    pages["SC_PHYS_PAGES"] = n * (4 + 8 + 16)
+    assert sample_exact(IsingModel(4, {}), n, seed=0).n == n
 
 
 def test_exact_draws_enumerate_a_model_once(enumerations):
@@ -502,6 +504,8 @@ def test_drawn_set_writes_the_file_of_its_rows(tmp_path, side, n):
     assert "data" not in vars(s)  # packed from the draw, not decoded
     write_samples_binary(SampleSet(s.p, s.n, s.data), rows)
     assert drawn.read_bytes() == rows.read_bytes()
+    write_samples_binary(s, again := tmp_path / "again.bin")  # decoded now
+    assert again.read_bytes() == rows.read_bytes()
 
 
 def _old_write_text(samples: SampleSet, path):
