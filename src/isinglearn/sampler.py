@@ -249,9 +249,14 @@ def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     # Per uniform: 8 bytes, a row once decoded (p), and the most one pass
     # holds beside them: the lookup's 12 (u B, bucket; index, word), 4 + 24 f
     # with f <= 2^p / B searched in cut buckets, or a file's 9 + p / 4: at
-    # most 16 to p = 21, 28 above. Not the tally's 2^p counts or word sort.
-    _check_memory(n * (8 + model.p + (16 if model.p <= 21 else 28)),
-                  f"{n} exact samples of p={model.p}")
+    # most 16 to p = 21, 28 above. To p = 21 the tally's arrays are of the
+    # model's size. Above, beside each row's word (8), its flip holds 16,
+    # its sort 34 (a copy, a mask, each distinct word, its run's start and
+    # end) and its decode each distinct row's word and count (16) and the
+    # row twice (2 p): 24 + 2 p in all, more than 28.
+    p = model.p
+    _check_memory(n * (8 + p + (16 if p <= 21 else 24 + 2 * p)),
+                  f"{n} exact samples of p={p}")
     samples = SampleSet.__new__(SampleSet)
     samples.p, samples.n, samples._draw = model.p, n, (
         model._cdf, model._guide, np.random.default_rng(seed).random(n))

@@ -32,7 +32,7 @@ A design may also carry one row of weights per focal vertex. A row
 supported on a set W reads the data only through the weight of each
 sign pattern of sigma_u * sigma_W, so pattern_table turns the design
 into such a design: the 2^|W| patterns, shared, with each row's weights
-on them, one bincount each. The solver fits wide rows on these tables.
+on them, one bincount each. The solver fits rows on these tables.
 
 Linear forms are clamped to +/-LINEAR_FORM_LIMIT before
 exponentiation (exp overflows near 710); evaluations report whether
@@ -47,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
+from .model import configurations_from_indices
 from .sampler import Design, SampleSet
 
 LINEAR_FORM_LIMIT = 700.0
@@ -165,12 +166,12 @@ def pattern_table(design: Design, rows, cols) -> Design:
     supported on cols[i], evaluate_rows of row i's table at focal vertex
     0 gives the loss, and the gradient on cols[i], of the design's."""
     k = cols.shape[1]
-    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
-    patterns = np.vstack([np.ones((1, 1 << k)), 1 - 2 * bits]).astype(np.int8)
-    spins, powers = design.spins, (1 << np.arange(k))[:, None]
-    # One row at a time keeps the k x m codes the only temporary.
+    patterns = np.ones((k + 1, 1 << k), dtype=np.int8)
+    patterns[1:] = -configurations_from_indices(np.arange(1 << k), k).T
+    # One row at a time; float32 sums of powers of two are exact to k = 24.
+    spins, powers = design.spins, np.exp2(np.arange(k, dtype=np.float32))
     weights = np.array([
-        np.bincount(((spins[c] != spins[u]) * powers).sum(axis=0),
+        np.bincount((powers @ (spins[c] != spins[u])).astype(np.intp),
                     weights=design.weights, minlength=1 << k)
         for u, c in zip(rows, cols)])
     return Design(patterns, weights, design.total)

@@ -44,7 +44,7 @@ and rows drop out as they converge (at the start point too), stall or
 reach their iteration cap. minimize(view, config) is the one-row case: a
 view is the shared design plus its focal vertex.
 
-Wide rows are solved on working sets (Blitz, Johnson & Guestrin 2015;
+Rows are solved on working sets (Blitz, Johnson & Guestrin 2015;
 Celer, Massias, Gramfort & Salmon 2018). The l1 penalty leaves most of a
 row's coordinates at exactly 0, and at a theta supported on a set W the
 loss, and its gradient on W, read the data only through the weight of
@@ -55,10 +55,10 @@ after the first round every coordinate that violates the optimality
 system too, and then its largest |gradient| entries up to _WORKING_SET;
 the rows are solved by the same loop on their tables, from their
 support, and a new full pass certifies them or starts another round. A
-row whose W would exceed _WORKING_SET_CAP or reach half its p - 1
-coordinates, or that stalls on its table, is solved on the full design
-instead, as every row is for p <= 2 * _WORKING_SET + 1, from the full
-pass. Each report counts table and full-design work together
+row is solved on the full design, from the full pass, when its table
+would be no smaller than the design (always, for at most 2^_WORKING_SET
+configurations) or its W wider than _WORKING_SET_CAP, or when it stalls
+on its table. Each report counts table and full-design work together
 (iterations, evaluations, backtracks, stalls), and max_iterations caps a
 row's total; restarts counts the far-start restarts. Convergence is
 declared per row on the optimality residual (kkt_residual below) of the
@@ -80,9 +80,8 @@ from .screening import (NodeView, evaluate_rows, face_hessians, focal_row,
 
 # A line search halves a row's step at most _LINE_SEARCH times.
 _LINE_SEARCH = 40
-# A row's working set holds at least _WORKING_SET coordinates; a row
-# whose set would exceed _WORKING_SET_CAP, or reach half its width, is
-# solved on the full design.
+# A working set holds _WORKING_SET to _WORKING_SET_CAP coordinates, and
+# its table fewer columns than the design.
 _WORKING_SET = 8
 _WORKING_SET_CAP = 12
 # Entries in one batch of Newton systems: flat memory for many rows.
@@ -275,7 +274,7 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
     p-wide starting row per focal vertex; its focal entries are ignored.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    r, p = rows.size, design.spins.shape[0]
+    (p, m), r = design.spins.shape, rows.size
     lam, tol, cap = config.lam, config.kkt_tolerance, config.max_iterations
     if x0 is None:
         x = np.zeros((r, p))
@@ -320,7 +319,7 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             must |= g - lam > tol
         first = False
         sizes = np.maximum(must.sum(axis=1), _WORKING_SET)
-        full = (to_full[live] | (2 * sizes >= p - 1)
+        full = (to_full[live] | (sizes >= math.log2(m))
                 | (sizes > _WORKING_SET_CAP))
         f = live[full]
         if f.size:
@@ -356,7 +355,8 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             counts[:4, t] += run
             to_full[t] = (res > tol) & (counts[0, t] < cap)
 
-    return [SolveReport(np.delete(x[i], rows[i]), int(counts[0, i]),
+    solutions = x[np.arange(p) != rows[:, None]].reshape(r, p - 1)
+    return [SolveReport(solutions[i], int(counts[0, i]),
                         float(residual[i]), float(obj[i]),
                         bool(residual[i] <= tol), bool(saturated[i]),
                         *(int(c) for c in counts[[1, 2, 4, 3], i]))

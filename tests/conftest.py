@@ -1,6 +1,7 @@
 """Shared test plumbing: collects the acceptance verdict lines and
 prints them as an uncaptured section after the run summary, and counts
-model enumerations and the solver's passes over full designs."""
+model enumerations, the solver's passes over full designs and its
+pattern-table builds."""
 
 from typing import NamedTuple
 
@@ -56,4 +57,19 @@ def full_passes(monkeypatch):
 
     counting(solver_module.evaluate_rows, False)
     counting(solver_module.face_hessians, True)
+    return calls
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The shape (rows, k) of the columns of each pattern_table call the
+    solver makes, in call order."""
+    calls = []
+    pattern_table = solver_module.pattern_table
+
+    def counting(design, rows, cols):
+        calls.append(cols.shape)
+        return pattern_table(design, rows, cols)
+
+    monkeypatch.setattr(solver_module, "pattern_table", counting)
     return calls

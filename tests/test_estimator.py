@@ -9,6 +9,8 @@ from isinglearn import (EdgeSet, GlauberConfig, InputError, IsingModel,
                         lambda_schedule, learn_structure, make_grid_model,
                         make_random_model, perfect_recovery, result_to_json,
                         sample_exact, sample_glauber, square_error)
+from isinglearn.sampler import Design
+from isinglearn.solver import minimize_rows
 
 
 def test_lambda_schedule_frozen_values():
@@ -155,22 +157,40 @@ def test_solver_counters_add_up(p):
     assert sum(e.report.backtracks for e in estimates) > 0
 
 
-def test_sixteen_vertex_fit_stays_on_the_full_design(full_passes):
-    # p = 16 rows are 15 wide, below twice the working set: every
-    # evaluation is a row of a full-design pass, the Hessians are taken
-    # on the full design too, and the solve is the lockstep loop without
-    # working sets.
-    s = _samples(16)
+def test_sixteen_vertex_fit_solves_on_tables(full_passes, table_builds):
+    # The tally holds 3996 distinct rows, more than the 2^8 columns of a
+    # table at the least working set: every row solves on tables of 8
+    # coordinates, no Hessian is taken on the full design, and full
+    # passes only certify.
+    s = sample_exact(make_grid_model(4, 0.4), 30000, seed=49)
+    assert s.tally.spins.shape[1] > 1 << 8
     estimates = fit_all_nodes(s, lambda_schedule(16, s.n, 0.05),
                               SolverConfig(kkt_tolerance=1e-8))
-    passes = [c.rows for c in full_passes if not c.hessian]
-    assert 0 < len(passes) < len(full_passes)
-    assert (sum(len(rows) for rows in passes)
-            == sum(e.report.evaluations for e in estimates))
-    assert [e.report.iterations for e in estimates] == [
-        7, 5, 6, 6, 6, 8, 6, 5, 7, 6, 7, 6, 5, 5, 6, 7]
-    assert [e.report.evaluations for e in estimates] == [
-        11, 6, 7, 9, 7, 10, 8, 6, 9, 7, 11, 8, 6, 6, 9, 10]
+    assert all(e.report.converged for e in estimates)
+    assert table_builds[0] == (16, 8)
+    assert all(k == 8 for _, k in table_builds)
+    assert not any(c.hessian for c in full_passes)
+    assert len(full_passes) <= 1 + len(table_builds)
+
+
+@pytest.mark.parametrize("m", [256, 257])
+def test_sixteen_vertex_fit_on_a_table_wide_design_stays_on_it(
+        full_passes, table_builds, m):
+    # A table of 8 coordinates has 2^8 = 256 columns: a design of 256
+    # configurations is solved on itself, so every evaluation is a row
+    # of a full-design pass, and one more column sends every row to the
+    # tables first.
+    spins, weights, _ = _samples(16).tally
+    design = Design(spins[:, :m], weights[:m], weights[:m].sum())
+    cfg = SolverConfig(lam=0.05, kkt_tolerance=1e-8)
+    reports = minimize_rows(design, range(16), cfg)
+    assert all(r.converged for r in reports)
+    if m == 256:
+        assert not table_builds
+        assert (sum(len(c.rows) for c in full_passes if not c.hessian)
+                == sum(r.evaluations for r in reports))
+    else:
+        assert table_builds[0] == (16, 8)
 
 
 def test_capped_row_stops_while_the_others_converge():

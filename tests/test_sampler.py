@@ -400,12 +400,13 @@ def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
 def test_exact_refusal_counts_the_lookup(monkeypatch):
     # Beside the uniforms and the decoded rows, n (p + 8) bytes, the
     # refusal counts 16 bytes a row for the lookup or the file's words up
-    # to p = 21, and 28 above, where every uniform may be searched.
+    # to p = 21. Above, the tally's 24 + 2 p exceeds the 28 of a lookup
+    # where every uniform may be searched.
     n = 1000
     pages = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    for p, lookup in [(4, 16), (22, 28)]:
-        pages["SC_PHYS_PAGES"] = n * (p + 8 + lookup) - 1
+    for p, extra in [(4, 16), (21, 16), (22, 24 + 44), (23, 24 + 46)]:
+        pages["SC_PHYS_PAGES"] = n * (p + 8 + extra) - 1
         with pytest.raises(CapabilityError, match="physical memory"):
             sample_exact(IsingModel(p, {}), n, seed=0)
     pages["SC_PHYS_PAGES"] = n * (4 + 8 + 16)

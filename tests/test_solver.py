@@ -151,6 +151,22 @@ def test_restart_from_own_solution_takes_no_iterations():
         assert np.array_equal(a.solution, b.solution)
 
 
+def test_unsorted_rows_report_their_own_couplings():
+    # Rows 3 and 0, in that order: row 3 starts at its solution and
+    # keeps it bit for bit, row 0 starts from 0 and finds its own; each
+    # report leaves out its own focal entry.
+    s = sample_exact(make_grid_model(3, 0.7), 4000, seed=31)
+    cfg = SolverConfig(lam=0.03, kkt_tolerance=1e-8)
+    cold = minimize_rows(s.tally, range(9), cfg)
+    x0 = np.zeros((2, 9))
+    x0[0] = np.insert(cold[3].solution, 3, 0.0)
+    three, zero = minimize_rows(s.tally, [3, 0], cfg, x0)
+    assert three.iterations == 0
+    assert three.solution.tobytes() == cold[3].solution.tobytes()
+    assert zero.converged and zero.solution.shape == (8,)
+    np.testing.assert_allclose(zero.solution, cold[0].solution, atol=1e-6)
+
+
 def test_rows_finish_at_start_under_the_cap_and_at_it():
     # Rows 0-1 start at their solutions, the others from 0; a cap one
     # below the others' largest iteration count leaves rows that finish
@@ -256,7 +272,8 @@ def test_newton_search_that_runs_out_takes_a_gradient_step(monkeypatch):
 
 
 def _torus_samples():
-    # p = 36: rows are 35 wide, past twice the working set and the cap.
+    # p = 36: rows are 35 wide, past the cap; 2990 distinct rows, so
+    # tables of up to 11 coordinates are smaller than the tally.
     return sample_glauber(make_grid_model(6, 0.4), 4000,
                           GlauberConfig(seed=7, burn_in_sweeps=100,
                                         thinning_sweeps=2))
@@ -273,34 +290,28 @@ def _certified_on_a_full_pass(s, reports, cfg):
 
 
 def _full_design_solve(monkeypatch, s, cfg):
-    # A working set of half the row or more sends every row to the full
-    # design.
+    # A working set of the whole row, past _WORKING_SET_CAP, sends every
+    # row to the full design.
     with monkeypatch.context() as m:
         m.setattr(solver, "_WORKING_SET", s.p)
         return minimize_rows(s.tally, range(s.p), cfg)
 
 
-def test_working_set_solve_matches_the_full_design(monkeypatch, full_passes):
+def test_working_set_solve_matches_the_full_design(monkeypatch, full_passes,
+                                                   table_builds):
     s = _torus_samples()
     cfg = SolverConfig(lam=lambda_schedule(s.p, s.n, 0.05),
                        kkt_tolerance=1e-8)
-    builds = []
-    pattern_table = solver.pattern_table
-
-    def counting(design, rows, cols):
-        builds.append(cols.shape)
-        return pattern_table(design, rows, cols)
-
-    monkeypatch.setattr(solver, "pattern_table", counting)
     reports = minimize_rows(s.tally, range(s.p), cfg)
     _certified_on_a_full_pass(s, reports, cfg)
     # One full pass at the start and one per outer round: every Newton
     # iteration ran on the tables, so no Hessian was taken on the full
     # design, and each pass after the first evaluates only rows the one
     # before left uncertified.
-    assert builds and all(k == solver._WORKING_SET for _, k in builds)
+    assert table_builds and all(k == solver._WORKING_SET
+                                for _, k in table_builds)
     assert not any(c.hessian for c in full_passes)
-    assert len(full_passes) <= 1 + len(builds)
+    assert len(full_passes) <= 1 + len(table_builds)
     assert full_passes[0].rows.tolist() == list(range(s.p))
     for before, after in zip(full_passes, full_passes[1:]):
         assert set(after.rows.tolist()) <= set(before.rows.tolist())
