@@ -163,8 +163,8 @@ def _model_for(manifest: ExperimentManifest, param_index: int, side: int,
     return make_grid_model(side, beta, "spin_glass", seed=model_seed)
 
 
-def _draw(manifest: ExperimentManifest, model: IsingModel, n: int,
-          seed: int):
+def _sample(manifest: ExperimentManifest, model: IsingModel, n: int,
+            seed: int):
     if manifest.sampler == "exact":
         return sample_exact(model, n, seed)
     cfg = GlauberConfig(seed=seed, burn_in_sweeps=manifest.burn_in_sweeps,
@@ -189,8 +189,9 @@ def _all_trials_succeed(manifest: ExperimentManifest, model: IsingModel,
     for t in range(manifest.trials):
         seed = _seed_int(_derived_seed(manifest.seed, 1, param_index,
                                        attempt, t))
-        samples = _draw(manifest, model, n, seed)
-        estimates = fit_all_nodes(samples, lam, config, start)
+        # The set dies with the fit, before the next trial draws.
+        estimates = fit_all_nodes(_sample(manifest, model, n, seed), lam,
+                                  config, start)
         if t == 0:
             first = coupling_matrix(estimates, model.p)
         edge_set = edges_from_estimates(estimates, model.min_coupling,
@@ -283,8 +284,8 @@ def run_error_curve(manifest: ExperimentManifest) -> list[dict]:
         errors = []
         for t in range(manifest.trials):
             seed = _seed_int(_derived_seed(manifest.seed, 2, idx, t))
-            samples = _draw(manifest, model, n, seed)
-            estimates = fit_all_nodes(samples, lam, config)
+            estimates = fit_all_nodes(_sample(manifest, model, n, seed), lam,
+                                      config)
             errors.extend(square_error(est.theta_hat, model, est.u)
                           for est in estimates)
         rows.append({

@@ -9,23 +9,23 @@ no edge, so this is exactly the single-site scan taken class by class
 deterministic given a seed; all randomness comes from numpy's PCG64
 generator (RNG_ALGORITHM below names it for output metadata).
 
-A sample set is read through its tally (SampleSet.tally): a Design,
+A sample set holds its rows as configuration words, spin i in bit
+i % 64 of word i // 64 (for p <= 64 one word, the configuration
+index); each source builds them once: an exact draw by one guide-table
+lookup of its uniforms, a binary file straight from its payload, rows
+by packing. It is read through its tally (SampleSet.tally): a Design,
 the distinct configurations up to the global flip as int8 columns with
 their counts, ascending by configuration index for p <= 64 and by their
-words, word 0 first, above (tally_configurations gives the layout). An
-exact draw keeps its uniforms and reads its tally, its file and its
-rows (decoded on first read) through one guide-table lookup of them.
-Designs built from weights over configuration indices (multinomial
-counts, exact probabilities) have the same form, so every loss and
-second moment reads one kind of data.
+words, word 0 first, above. Designs built from weights over
+configuration indices (multinomial counts, exact probabilities) have
+the same form, so every loss and second moment reads one kind of data.
 
 Sample sets travel either as text ("p n" header then one row of
 +1/-1 tokens per sample) or as a packed binary stream (magic "ISNG",
 little-endian u32 p and u64 n, then row-major bits, bit value 1
-meaning spin +1, LSB-first within each byte), so a packed row is its
-configuration index. A set read with p <= 57 keeps its packed rows and
-is tallied from their indices; it and an exact draw write their files
-from their rows' indices, never decoding data.
+meaning spin +1, LSB-first within each byte): row k's spin i is
+stream bit k p + i. Binary files are read and written from the words,
+never decoding rows.
 """
 
 from __future__ import annotations
@@ -73,27 +73,17 @@ def _indexed_design(indices, weights, p: int, total: float) -> Design:
     return _design(spins, weights, total)
 
 
-def tally_configurations(data: np.ndarray) -> Design:
-    """The distinct rows of an n x p -1/+1 matrix up to the global flip,
-    each taken with spin 0 at +1, weighted by their counts. The rows are
-    packed at once into words, spin i in bit i % 64 of word i // 64 (for
-    p <= 64 one word, the configuration index), and the columns ascend
-    by index for p <= 64 and by their words, word 0 first, above."""
-    n, p = data.shape
-    words = np.zeros((n, -(-p // 64) * 8), dtype=np.uint8)
-    words[:, :-(-p // 8)] = np.packbits(data > 0, axis=1, bitorder="little")
-    return _tally_words(words.view("<u8"), p)
-
-
 def _tally_words(words: np.ndarray, p: int) -> Design:
-    """tally_configurations of n rows given as n x W words, bits past p
-    clear; above p = 21 the words are flipped in place."""
+    """The distinct rows of n x W configuration words up to the global
+    flip, each taken with spin 0 at +1, weighted by their counts; the
+    columns ascend by index for p <= 64 and by their words, word 0
+    first, above."""
     if p <= 21:
         return _tally_indices(words[:, 0].view(np.int64), p)
     # Rows with spin 0 at -1 are flipped: XOR with the p-bit mask.
     mask = np.full(words.shape[1], ~np.uint64(0))
     mask[-1] >>= np.uint64(-p % 64)
-    words ^= ((words[:, :1] & 1) - 1) & mask
+    words = words ^ (((words[:, :1] & 1) - 1) & mask)
     if words.shape[1] == 1:
         distinct, counts = np.unique(words[:, 0], return_counts=True)
     else:
@@ -106,43 +96,49 @@ def _tally_words(words: np.ndarray, p: int) -> Design:
 
 
 def _tally_indices(k: np.ndarray, p: int) -> Design:
-    """tally_configurations of the rows with configuration indices k,
-    each counted with its flip 2^p - 1 - k at the odd one of the two."""
+    """_tally_words of the rows with configuration indices k, each
+    counted with its flip 2^p - 1 - k at the odd one of the two."""
     full = np.bincount(k, minlength=1 << p)
     full = full[1::2] + full[-2::-2]
     odd = np.flatnonzero(full)
     return _indexed_design(odd.astype(np.uint64) * 2 + 1, full[odd], p, k.size)
 
 
-_WORD_LIMIT = 57
-
-
 def _row_words(packed: np.ndarray, p: int, n: int) -> np.ndarray:
-    """The n rows of a packed payload as uint64 configuration indices:
-    the p bits from stream bit k p on have bit i set iff spin i is +1.
-    Eight rows fill exactly p bytes, so row j of each group of eight
-    starts at byte j p // 8 of the group, bit j p % 8, and for
-    p <= _WORD_LIMIT the 8 bytes from there hold it."""
-    groups = -(-n // 8)
-    buf = np.zeros(groups * p + 8, dtype=np.uint8)
+    """The n rows of a packed payload as n x W configuration words: the
+    p bits from stream bit k p on have bit i % 64 of word i // 64 set
+    iff spin i is +1. Eight rows fill exactly p bytes, so row j of each
+    group of eight starts at byte j p // 8 of the group, bit s = j p % 8.
+    Its word w is the 8 bytes from 8 w further on, shifted down by s,
+    with the low s bits of the ninth byte on top where the row reaches
+    them."""
+    groups, w = -(-n // 8), -(-p // 64)
+    buf = np.zeros(groups * p + 8 * w, dtype=np.uint8)
     buf[:packed.size] = packed
-    words = np.empty(groups * 8, dtype=np.uint64)
+    words = np.empty((groups * 8, w), dtype=np.uint64)
     for j in range(8):
-        at = np.ndarray(groups, "<u8", buf, j * p // 8, (p,))
-        words[j::8] = at >> (j * p % 8)
-    return words[:n] & ((1 << p) - 1)
+        at, s = j * p // 8, j * p % 8
+        words[j::8] = np.ndarray((groups, w), "<u8", buf, at, (p, 8)) >> s
+        if s and s + p > 64:
+            ninth = np.ndarray((groups, w), np.uint8, buf, at + 8, (p, 8))
+            words[j::8] |= ninth.astype(np.uint64) << (64 - s)
+    words[:, -1] &= ~np.uint64(0) >> np.uint64(-p % 64)
+    return words[:n]
 
 
 def _pack_words(words: np.ndarray, p: int) -> np.ndarray:
-    """The packed payload of rows given as configuration indices, with
-    zero padding: the inverse of _row_words. Each group of eight rows
-    gets p bytes and 8 spare, so the word of its last row fits."""
-    n = words.size
+    """The packed payload of n x W configuration words, with zero
+    padding: the inverse of _row_words. Each group of eight rows gets p
+    bytes and 8 spare, so the last word of its last row fits."""
+    n, w = words.shape
     out = np.zeros((-(-n // 8), p + 8), dtype=np.uint8)
     for j in range(8):
-        row = words[j::8]
-        at = np.ndarray(row.size, "<u8", out, j * p // 8, (p + 8,))
-        at |= row << (j * p % 8)
+        row, at, s = words[j::8], j * p // 8, j * p % 8
+        low = np.ndarray(row.shape, "<u8", out, at, (p + 8, 8))
+        low |= row << s
+        if s and s + p > 64:
+            ninth = np.ndarray(row.shape, np.uint8, out, at + 8, (p + 8, 8))
+            ninth |= (row >> (64 - s)).astype(np.uint8)
     return out[:, :p].reshape(-1)[:(n * p + 7) // 8]
 
 
@@ -162,54 +158,50 @@ def _second_moments(designs, exclude: int) -> np.ndarray:
     return acc
 
 
-@dataclass
 class SampleSet:
-    """n configurations of p spins, one row each, entries -1/+1 (int8).
-    Treat instances as immutable: tally is computed once and kept. A set
-    drawn by sample_exact (its model's CDF and guide table, its uniforms)
-    or read from a binary file with p <= 57 (its packed rows) is tallied
-    and written without decoding its rows, decoding data on first access."""
+    """n configurations of p spins, held as words: n x W uint64
+    configuration words, W = ceil(p / 64), spin i +1 iff bit i % 64 of
+    word i // 64 is set, the bits past p clear. SampleSet(p, n, data)
+    checks and packs n x p -1/+1 rows; draws and binary files build
+    their words directly (_of_words). Treat instances as immutable: the
+    tally and data (the int8 rows: decoded on first read, or the rows
+    the set was built from) are computed once and kept."""
 
-    p: int
-    n: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.int8)
-        if self.data.shape != (self.n, self.p):
+    def __init__(self, p: int, n: int, data):
+        data = np.asarray(data, dtype=np.int8)
+        if data.shape != (n, p):
             raise InputError(
-                f"data shape {self.data.shape} does not match (n, p)=({self.n}, {self.p})"
-            )
-        if self.n < 1 or self.p < 1:
+                f"data shape {data.shape} does not match (n, p)=({n}, {p})")
+        if n < 1 or p < 1:
             raise InputError("need n >= 1 and p >= 1")
-        if not np.all(np.abs(self.data) == 1):
-            raise InputError("sample entries must be -1 or +1")
+        words = np.zeros((n, -(-p // 64) * 8), dtype=np.uint8)
+        # 2^18 spins a pass keep the check's and packing's arrays small.
+        block = max(1, (1 << 18) // p)
+        for lo in range(0, n, block):
+            rows = data[lo:lo + block]
+            if not np.all(np.abs(rows) == 1):
+                raise InputError("sample entries must be -1 or +1")
+            words[lo:lo + block, :-(-p // 8)] = np.packbits(
+                rows > 0, axis=1, bitorder="little")
+        self.p, self.n, self.words, self.data = p, n, words.view("<u8"), data
 
-    def __getattr__(self, name):
-        # Reached only while data is unset, that is on a drawn or read set.
-        if name != "data" or not self.__dict__.keys() & {"_draw", "_packed"}:
-            raise AttributeError(name)
-        self.data = configurations_from_indices(self._words(), self.p)
-        return self.data
+    @classmethod
+    def _of_words(cls, p: int, words: np.ndarray) -> SampleSet:
+        """The set of n x W words, bits past p clear, kept as given."""
+        samples = cls.__new__(cls)
+        samples.p, samples.n, samples.words = p, words.shape[0], words
+        return samples
 
-    def _words(self) -> np.ndarray:
-        """The rows of a drawn or read set as configuration indices."""
-        if "_packed" in self.__dict__:
-            return _row_words(self._packed, self.p, self.n)
-        cdf, guide, u = self._draw
-        # np.searchsorted(cdf, u, side="right"), searched only in cut buckets.
-        indices = guide[(u * guide.size).astype(np.int32)]
-        cut = np.flatnonzero(indices < 0)
-        indices[cut] = np.searchsorted(cdf, u[cut], side="right")
-        return indices.astype(np.uint64)
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The rows as an n x p int8 array of -1/+1."""
+        return configurations_from_indices(self.words, self.p)
 
     @cached_property
     def tally(self) -> Design:
         """Distinct configurations up to the global flip, with counts;
         every loss and moment of this sample set reads it."""
-        if self.__dict__.keys() & {"_draw", "_packed"}:
-            return _tally_words(self._words()[:, None], self.p)
-        return tally_configurations(self.data)
+        return _tally_words(self.words, self.p)
 
 
 @dataclass
@@ -246,21 +238,32 @@ def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     enumerated distribution, through the model's CDF and guide table."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    # Per uniform: 8 bytes, a row once decoded (p), and the most one pass
-    # holds beside them: the lookup's 12 (u B, bucket; index, word), 4 + 24 f
-    # with f <= 2^p / B searched in cut buckets, or a file's 9 + p / 4: at
-    # most 16 to p = 21, 28 above. To p = 21 the tally's arrays are of the
-    # model's size. Above, beside each row's word (8), its flip holds 16,
-    # its sort 34 (a copy, a mask, each distinct word, its run's start and
-    # end) and its decode each distinct row's word and count (16) and the
-    # row twice (2 p): 24 + 2 p in all, more than 28.
+    # Per row: 8 bytes (its uniform, then its word), its row once decoded
+    # (p), and the most one pass holds beside them: the lookup's 4 (bucket
+    # or index) and 24 f with f <= 2^p / B searched in cut buckets, or a
+    # file's 1 + p / 4 + W: at most 16 to p = 21, 28 above. To p = 21 the
+    # tally also holds 12 bytes a configuration, its 2^p int64 counts and
+    # their half-length fold, and its distinct rows fit in what the fold
+    # frees: tracemalloc reads 57.7 bytes a row in all on 2^20 uniform
+    # draws at p = 21, against 69 charged. Above, beside each row's word,
+    # its flipped copy (8) holds the sort's 34 (a copy, a mask, each
+    # distinct word, its run's start and end) or the decode's 16 + 2 p
+    # (each distinct row's word and count, the row twice): 24 + 2 p in
+    # all, more than 28.
     p = model.p
-    _check_memory(n * (8 + p + (16 if p <= 21 else 24 + 2 * p)),
-                  f"{n} exact samples of p={p}")
-    samples = SampleSet.__new__(SampleSet)
-    samples.p, samples.n, samples._draw = model.p, n, (
-        model._cdf, model._guide, np.random.default_rng(seed).random(n))
-    return samples
+    _check_memory(n * (8 + p + (16 if p <= 21 else 24 + 2 * p))
+                  + (12 << p if p <= 21 else 0), f"{n} exact samples of p={p}")
+    u = np.random.default_rng(seed).random(n)
+    return SampleSet._of_words(p, _lookup(model._cdf, model._guide, u))
+
+
+def _lookup(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") as n x 1 configuration
+    words, through the guide table: searched only in cut buckets."""
+    indices = guide[(u * guide.size).astype(np.int32)]
+    cut = np.flatnonzero(indices < 0)
+    indices[cut] = np.searchsorted(cdf, u[cut], side="right")
+    return indices.astype(np.uint64)[:, None]
 
 
 def _colour_classes(model: IsingModel) -> list[np.ndarray]:
@@ -290,8 +293,10 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     p = model.p
-    # The samples, then the chain's state, initial spins and site order.
-    _check_memory(n * p + 32 * p, f"{n} Glauber samples of p={p}")
+    # The samples as rows and as words, then the chain's state, initial
+    # spins and site order.
+    _check_memory(n * (p + 8 * -(-p // 64)) + 32 * p,
+                  f"{n} Glauber samples of p={p}")
     rng = np.random.default_rng(config.seed)
     spins = rng.integers(0, 2, size=p) * 2 - 1
     classes = _colour_classes(model)
@@ -448,10 +453,7 @@ def _read_samples_text(path) -> SampleSet:
 
 
 def write_samples_binary(samples: SampleSet, path):
-    if samples.__dict__.keys() & {"_draw", "_packed"}:
-        packed = _pack_words(samples._words(), samples.p)
-    else:
-        packed = np.packbits(samples.data.reshape(-1) > 0, bitorder="little")
+    packed = _pack_words(samples.words, samples.p)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", samples.p, samples.n))
@@ -476,9 +478,4 @@ def read_samples_binary(path) -> SampleSet:
     if n < 1 or p < 1:
         raise InputError("need n >= 1 and p >= 1")
     packed = np.frombuffer(payload, dtype=np.uint8)
-    if p > _WORD_LIMIT:
-        bits = np.unpackbits(packed, count=n * p, bitorder="little")
-        return SampleSet(p, n, (bits.astype(np.int8) * 2 - 1).reshape(n, p))
-    samples = SampleSet.__new__(SampleSet)
-    samples.p, samples.n, samples._packed = p, n, packed
-    return samples
+    return SampleSet._of_words(p, _row_words(packed, p, n))

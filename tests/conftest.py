@@ -1,7 +1,7 @@
 """Shared test plumbing: collects the acceptance verdict lines and
 prints them as an uncaptured section after the run summary, and counts
-model enumerations, the solver's passes over full designs and its
-pattern-table builds."""
+model enumerations, sample-set tallies, the solver's passes over full
+designs and its pattern-table builds."""
 
 from typing import NamedTuple
 
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from isinglearn import model as model_module
+from isinglearn import sampler as sampler_module
 from isinglearn import solver as solver_module
 
 ACCEPTANCE_LINES: list[str] = []
@@ -72,4 +73,18 @@ def table_builds(monkeypatch):
         return pattern_table(design, rows, cols)
 
     monkeypatch.setattr(solver_module, "pattern_table", counting)
+    return calls
+
+
+@pytest.fixture
+def tallies(monkeypatch):
+    """The (n, p) of each sample-set tally, in call order."""
+    calls = []
+    tally_words = sampler_module._tally_words
+
+    def counting(words, p):
+        calls.append((words.shape[0], p))
+        return tally_words(words, p)
+
+    monkeypatch.setattr(sampler_module, "_tally_words", counting)
     return calls

@@ -11,6 +11,7 @@ from isinglearn import (CapabilityError, InputError, IsingModel, beta_d,
                         make_random_model, model_from_json, model_to_json,
                         population_gradient_moments, sample_exact,
                         verification_report)
+from isinglearn import sampler as sampler_module
 from isinglearn.model import (configurations_from_indices, load_model,
                               save_model)
 
@@ -104,10 +105,18 @@ def test_enumeration_guard():
         exact_distribution(big)
 
 
-def test_one_enumeration_per_model(enumerations):
+def test_one_enumeration_per_model(enumerations, monkeypatch):
+    lookups = []
+    lookup = sampler_module._lookup
+
+    def spying(cdf, guide, u):
+        lookups.append((cdf, guide))
+        return lookup(cdf, guide, u)
+
+    monkeypatch.setattr(sampler_module, "_lookup", spying)
     m = make_grid_model(3, 0.4, "spin_glass", seed=2)
-    first = sample_exact(m, 500, seed=1)
-    second = sample_exact(m, 500, seed=2)
+    sample_exact(m, 500, seed=1)
+    sample_exact(m, 500, seed=2)
     log_z = log_partition(m)
     spins = [1, -1, 1, 1, -1, -1, 1, 1, 1]
     assert exact_probability(m, spins) == math.exp(
@@ -118,12 +127,11 @@ def test_one_enumeration_per_model(enumerations):
     verification_report(m, seed=5, n=2000, sets=5, rsc_trials=5)
     assert len(enumerations) == 1 and enumerations[0] is m
     # Both draws read one CDF, which ends at exactly 1.
-    cdf = first._draw[0]
-    assert second._draw[0] is cdf and cdf[-1] == 1.0
+    (cdf, guide), second = lookups[:2]
+    assert second[0] is cdf and cdf[-1] == 1.0
     assert not cdf.flags.writeable
     # And one guide table over it, built from that one enumeration.
-    guide = first._draw[1]
-    assert second._draw[1] is guide and guide is m._guide
+    assert second[1] is guide and guide is m._guide
     assert guide.dtype == np.int32 and guide.size == 1 << (m.p + 2)
     assert not guide.flags.writeable
     # One shared, read-only distribution.

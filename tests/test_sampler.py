@@ -12,7 +12,7 @@ from isinglearn import (CapabilityError, GlauberConfig, InputError,
                         read_samples_binary, read_samples_text, sample_exact,
                         sample_glauber, write_samples_binary,
                         write_samples_text)
-from isinglearn.sampler import _colour_classes, tally_configurations
+from isinglearn.sampler import _colour_classes, _lookup
 
 
 def _config_counts(samples: SampleSet) -> np.ndarray:
@@ -313,7 +313,7 @@ def test_drawn_tally_is_the_tally_of_its_rows(model, n):
     s = sample_exact(model, n, seed=n + 3)
     got = s.tally
     assert "data" not in vars(s)  # counted, not decoded
-    want = tally_configurations(s.data)
+    want = SampleSet(s.p, s.n, s.data).tally
     assert got.spins.dtype == want.spins.dtype == np.int8
     assert got.weights.dtype == want.weights.dtype
     assert np.array_equal(got.spins, want.spins)
@@ -369,8 +369,8 @@ def test_cdf_is_cut_at_one():
                               "one-spin", "past-one"])
 def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
     u = _edge_uniforms(model)
-    s = sample_exact(model, u.size, seed=0)
-    s._draw = s._draw[:2] + (u,)
+    words = _lookup(model._cdf, model._guide, u)
+    s = SampleSet._of_words(model.p, words)
     # The table answers some of these uniforms; where a CDF value cuts a
     # bucket (on all but the gapped and one-spin models) the search
     # answers others.
@@ -381,8 +381,8 @@ def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
     cdf = np.cumsum(exact_distribution(model))
     cdf[-1] = 1.0
     want = np.searchsorted(cdf, u, side="right").astype(np.uint64)
-    assert np.array_equal(s._words(), want)
-    got, rows = s.tally, tally_configurations(s.data)
+    assert np.array_equal(words, want[:, None])
+    got, rows = s.tally, SampleSet(s.p, s.n, s.data).tally
     assert np.array_equal(got.spins, rows.spins)
     assert np.array_equal(got.weights, rows.weights)
     assert got.total == rows.total
@@ -398,19 +398,36 @@ def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
 
 
 def test_exact_refusal_counts_the_lookup(monkeypatch):
-    # Beside the uniforms and the decoded rows, n (p + 8) bytes, the
-    # refusal counts 16 bytes a row for the lookup or the file's words up
-    # to p = 21. Above, the tally's 24 + 2 p exceeds the 28 of a lookup
-    # where every uniform may be searched.
+    # Beside each row's uniform or word and its decoded row, n (p + 8)
+    # bytes, the refusal counts 16 bytes a row for the lookup or the
+    # file up to p = 21, and the tally's 12 bytes a configuration. Above,
+    # the tally's 24 + 2 p exceeds the 28 of a lookup where every uniform
+    # may be searched.
     n = 1000
     pages = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    for p, extra in [(4, 16), (21, 16), (22, 24 + 44), (23, 24 + 46)]:
-        pages["SC_PHYS_PAGES"] = n * (p + 8 + extra) - 1
+    for p, extra, counts in [(4, 16, 12 << 4), (21, 16, 12 << 21),
+                             (22, 24 + 44, 0), (23, 24 + 46, 0)]:
+        pages["SC_PHYS_PAGES"] = n * (p + 8 + extra) + counts - 1
         with pytest.raises(CapabilityError, match="physical memory"):
             sample_exact(IsingModel(p, {}), n, seed=0)
-    pages["SC_PHYS_PAGES"] = n * (4 + 8 + 16)
+    pages["SC_PHYS_PAGES"] = n * (4 + 8 + 16) + (12 << 4)
     assert sample_exact(IsingModel(4, {}), n, seed=0).n == n
+
+
+def test_glauber_refusal_counts_the_words(monkeypatch):
+    # Each row's p spins and its W words, then 32 bytes a site for the
+    # chain.
+    n = 1000
+    pages = {"SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    config = GlauberConfig(seed=0, burn_in_sweeps=0, thinning_sweeps=1)
+    for p, w in [(9, 1), (64, 1), (65, 2), (130, 3)]:
+        pages["SC_PHYS_PAGES"] = n * (p + 8 * w) + 32 * p - 1
+        with pytest.raises(CapabilityError, match="physical memory"):
+            sample_glauber(IsingModel(p, {}), n, config)
+    pages["SC_PHYS_PAGES"] = n * (65 + 8 * 2) + 32 * 65
+    assert sample_glauber(IsingModel(65, {}), n, config).words.shape == (n, 2)
 
 
 def test_exact_draws_enumerate_a_model_once(enumerations):
@@ -456,21 +473,23 @@ def test_read_set_counts_the_tally_of_its_rows(tmp_path, p, n):
     write_samples_binary(_set_to_write(p, n), path)
     s = read_samples_binary(path)
     got = s.tally
-    # Up to p = 57 the rows are counted from the packed words.
-    assert ("data" in vars(s)) == (p > 57)
+    # The rows are counted from the file's words, not decoded.
+    assert "data" not in vars(s)
     assert s.data.dtype == np.int8
     assert np.array_equal(s.data, _old_unpack(path))
-    want = tally_configurations(s.data)
+    want = SampleSet(s.p, s.n, s.data).tally
     assert got.spins.dtype == want.spins.dtype == np.int8
     assert got.weights.dtype == want.weights.dtype
     assert np.array_equal(got.spins, want.spins)
     assert np.array_equal(got.weights, want.weights)
     assert got.total == want.total and type(got.total) is type(want.total)
-    # Packed rows up to p = 57, int8 rows above.
     assert _ascends_by_words(got)
 
 
-@pytest.mark.parametrize("p, n", [(3, 5), (9, 7), (13, 1), (57, 9), (58, 3)])
+# Every n makes 64 n bits whole bytes, so p = 64 has no padding; the
+# round trip below reads and writes it.
+@pytest.mark.parametrize("p, n", [(3, 5), (9, 7), (13, 1), (57, 9), (58, 3),
+                                  (65, 3), (100, 5), (130, 7)])
 def test_padding_bits_are_ignored_and_written_as_zero(tmp_path, p, n):
     assert n * p % 8  # the last byte has padding bits
     clean, dirty, again = (tmp_path / f"{k}.bin"
@@ -485,6 +504,23 @@ def test_padding_bits_are_ignored_and_written_as_zero(tmp_path, p, n):
     assert np.array_equal(back.tally.spins, s.tally.spins)
     assert np.array_equal(back.tally.weights, s.tally.weights)
     assert np.array_equal(back.data, s.data)
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 1001])
+def test_wide_file_round_trips_byte_for_byte(tmp_path, n):
+    rng = np.random.default_rng(n)
+    path, again = tmp_path / "s.bin", tmp_path / "again.bin"
+    for p in range(58, 131):
+        payload = rng.integers(0, 256, (n * p + 7) // 8, dtype=np.uint8)
+        if n * p % 8:
+            payload[-1] &= (1 << n * p % 8) - 1  # padding bits are zero
+        raw = b"ISNG" + struct.pack("<IQ", p, n) + payload.tobytes()
+        path.write_bytes(raw)
+        s = read_samples_binary(path)
+        assert s.words.shape == (n, -(-p // 64))
+        write_samples_binary(s, again)
+        assert again.read_bytes() == raw
+        assert np.array_equal(s.data, _old_unpack(path))
 
 
 @pytest.mark.parametrize("p, n", [(0, 4), (4, 0), (0, 0)])

@@ -367,39 +367,17 @@ def test_configuration_and_its_flip_share_a_row():
     assert view.weights.tolist() == [1.0]
 
 
-def test_fit_all_nodes_tallies_once(monkeypatch):
-    calls = []
-    tally = sampler.tally_configurations
-
-    def counting(data):
-        calls.append(data.shape)
-        return tally(data)
-
-    monkeypatch.setattr(sampler, "tally_configurations", counting)
+def test_fit_all_nodes_tallies_once(tallies):
     s = sample_exact(make_grid_model(3, 0.6), 2000, seed=4)
-    # A set built from rows, as a file reader builds it.
+    # A set built from rows, as the text reader builds it.
     s = SampleSet(s.p, s.n, s.data)
     fit_all_nodes(s, lambda_schedule(s.p, s.n, 0.05))
-    assert calls == [(s.n, s.p)]
+    assert tallies == [(s.n, s.p)]
 
 
-def test_fit_all_nodes_counts_a_drawn_set_once(monkeypatch):
-    calls, rows = [], []
-    drawn = sampler._tally_indices
-    tally = sampler.tally_configurations
-
-    def counting(indices, p):
-        calls.append((indices.size, p))
-        return drawn(indices, p)
-
-    def decoding(data):
-        rows.append(data.shape)
-        return tally(data)
-
-    monkeypatch.setattr(sampler, "_tally_indices", counting)
-    monkeypatch.setattr(sampler, "tally_configurations", decoding)
+def test_fit_all_nodes_counts_a_drawn_set_once(tallies):
     s = sample_exact(make_grid_model(3, 0.6), 2000, seed=4)
     fit_all_nodes(s, lambda_schedule(s.p, s.n, 0.05))
-    assert calls == [(s.n, s.p)]
-    # The rows were neither tallied nor decoded.
-    assert rows == [] and "data" not in vars(s)
+    assert tallies == [(s.n, s.p)]
+    # The rows were not decoded.
+    assert "data" not in vars(s)
