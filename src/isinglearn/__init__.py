@@ -17,12 +17,11 @@ from .model import (ENUMERATION_LIMIT, IsingModel, beta_d, energy_exponent,
                     log_partition, make_grid_model, make_random_model,
                     model_from_json, model_to_json, save_model)
 from .sampler import (RNG_ALGORITHM, GlauberConfig, SampleSet,
-                      empirical_covariance, read_samples_binary,
-                      read_samples_text, sample_exact, sample_glauber,
-                      write_samples_binary, write_samples_text)
-from .screening import (NodeView, evaluate, node_view, remainder_kernel,
-                        remainder_kernel_floor, screening_gradient,
-                        screening_value, taylor_remainder)
+                      read_samples_binary, read_samples_text, sample_exact,
+                      sample_glauber, write_samples_binary, write_samples_text)
+from .screening import (NodeView, empirical_covariance, evaluate, node_view,
+                        remainder_kernel, remainder_kernel_floor,
+                        screening_gradient, screening_value, taylor_remainder)
 from .solver import (SolveReport, SolverConfig, kkt_residual, minimize,
                      soft_threshold)
 from .theory import (CovarianceFloor, ModelParams, RscReport,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import IsingModel
-from .sampler import SampleSet
+from .sampler import Design, SampleSet
 from .screening import node_view
 from .solver import SolveReport, SolverConfig, minimize, minimize_rows
 
@@ -86,13 +86,21 @@ def fit_all_nodes(samples: SampleSet, lam: float,
     tally; results ordered by vertex id. x0, when given, is a p x p
     coupling matrix to start from (row u for vertex u; its diagonal is
     ignored), such as coupling_matrix of an earlier fit."""
-    cfg = _with_penalty(lam, config)
     if samples.p < 2:
         raise InputError("need p >= 2 for a nonempty view")
-    nodes = range(samples.p)
-    reports = minimize_rows(samples.tally, nodes, cfg, x0)
-    return [NodeEstimate(u, rep.solution, lam, rep)
-            for u, rep in zip(nodes, reports)]
+    return fit_tallies([samples.tally], lam, config, x0)[0]
+
+
+def fit_tallies(tallies: list[Design], lam: float,
+                config: SolverConfig | None = None,
+                x0: np.ndarray | None = None) -> list[list[NodeEstimate]]:
+    """fit_all_nodes of several sample sets' tallies (one p, one sample
+    count) in one lockstep solve from x0: the estimates of each tally."""
+    nodes = range(tallies[0].spins.shape[0])
+    reports = iter(minimize_rows(tallies, nodes, _with_penalty(lam, config),
+                                 x0))
+    return [[NodeEstimate(u, rep.solution, lam, rep)
+             for u, rep in zip(nodes, reports)] for _ in tallies]
 
 
 def _check_threshold(alpha_threshold: float):

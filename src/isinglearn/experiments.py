@@ -14,11 +14,12 @@ candidate has succeeded (giving up past n_max), halves it while none
 has failed, and otherwise bisects, until the bracket's relative width
 is at most rel_width. The reported n_min is the bracket's upper end
 (a confirmed success).
-A candidate's trials run in turn and its first failing trial settles
-it. Neighbouring candidates fit nearly the same couplings, so each is
-warm started: every trial of a candidate starts its fits from trial
-0's coupling matrix at the candidate before it, and a width's first
-candidate starts from 0.
+A candidate's first failing trial settles it: trial 0 is fitted alone,
+and if it recovers the edges the other trials' tallies are fitted in
+batches of up to _BATCH_BYTES, one lockstep solve each. Candidates are
+warm started, as neighbours fit nearly the same couplings: every trial
+starts its fits from trial 0's coupling matrix at the candidate before
+it, and a width's first candidate starts from 0.
 
 run_error_curve fits every node at each listed n with the node-mode
 penalty schedule and reports the mean l2 coupling error.
@@ -35,14 +36,15 @@ import numpy as np
 
 from .errors import InputError
 from .estimator import (coupling_matrix, edges_from_estimates,
-                        fit_all_nodes, lambda_schedule, perfect_recovery,
-                        square_error)
+                        fit_all_nodes, fit_tallies, lambda_schedule,
+                        perfect_recovery, square_error)
 from .model import IsingModel, make_grid_model
 from .sampler import RNG_ALGORITHM, GlauberConfig, sample_exact, sample_glauber
 from .solver import SolverConfig
 
 NMIN_CSV_HEADER = "param,n_min,trials,success,seed,wall_seconds"
 ERROR_CSV_HEADER = "n,mean_error,trials,seed,wall_seconds"
+_BATCH_BYTES = 1 << 21  # tally bytes one batch of n_min trials holds
 # Element types that seed, sides, betas and ns refuse.
 _NOT_NUMBERS = frozenset((bool, str))
 
@@ -54,8 +56,8 @@ class ExperimentManifest:
     kind "nmin_vs_p" sweeps grid sides at fixed coupling magnitude
     (param column = p); "nmin_vs_beta" sweeps coupling magnitudes at a
     fixed side (param column = beta); "error_vs_n" sweeps the sample
-    sizes in ns on one fixed model. Trials run in turn; error_vs_n
-    fits each from 0.
+    sizes in ns on one fixed model, its trials in turn, each fitted
+    from 0.
     """
 
     kind: str
@@ -164,7 +166,8 @@ def _model_for(manifest: ExperimentManifest, param_index: int, side: int,
 
 
 def _sample(manifest: ExperimentManifest, model: IsingModel, n: int,
-            seed: int):
+            *key: int):
+    seed = _seed_int(_derived_seed(manifest.seed, *key))
     if manifest.sampler == "exact":
         return sample_exact(model, n, seed)
     cfg = GlauberConfig(seed=seed, burn_in_sweeps=manifest.burn_in_sweeps,
@@ -177,28 +180,44 @@ def _solver_config(manifest: ExperimentManifest) -> SolverConfig:
                         max_iterations=manifest.max_iterations)
 
 
+def _batched_fits(tallies, fit):
+    """fit of the tallies in order, a run at a time: runs of at most
+    _BATCH_BYTES, or a larger tally alone, dead before the next draw."""
+    batch, held = [], 0
+    for tally in tallies:
+        size = tally.spins.nbytes + tally.weights.nbytes
+        if batch and held + size > _BATCH_BYTES:
+            yield from fit(batch)
+            batch, held = [], 0
+        batch, held = batch + [tally], held + size
+        del tally  # only the batch holds it: it dies with its fit
+        if held > _BATCH_BYTES:
+            yield from fit(batch)
+            batch, held = [], 0
+    if batch:
+        yield from fit(batch)
+
+
 def _all_trials_succeed(manifest: ExperimentManifest, model: IsingModel,
                         n: int, param_index: int, attempt: int,
                         start: np.ndarray | None):
     """Whether every trial at n recovers the edges, and trial 0's
-    coupling matrix. Trials run in turn, each fitted from the coupling
-    matrix start (None: from 0), and the first failure ends the
-    candidate, so trial 0 always runs."""
+    coupling matrix. Every trial is fitted from the coupling matrix start
+    (None: from 0): trial 0 alone, then, if it recovers, the others in
+    _batched_fits. The first failing trial, in order, ends the candidate."""
     lam = lambda_schedule(model.p, n, manifest.epsilon, mode="structure")
     config = _solver_config(manifest)
-    for t in range(manifest.trials):
-        seed = _seed_int(_derived_seed(manifest.seed, 1, param_index,
-                                       attempt, t))
-        # The set dies with the fit, before the next trial draws.
-        estimates = fit_all_nodes(_sample(manifest, model, n, seed), lam,
-                                  config, start)
-        if t == 0:
-            first = coupling_matrix(estimates, model.p)
-        edge_set = edges_from_estimates(estimates, model.min_coupling,
-                                        model.p)
-        if not perfect_recovery(edge_set, model):
-            return False, first
-    return True, first
+    key = (1, param_index, attempt)
+    estimates = fit_all_nodes(_sample(manifest, model, n, *key, 0), lam,
+                              config, start)
+    # Each set's words die with its draw; only its tally is held.
+    tallies = (_sample(manifest, model, n, *key, t).tally
+               for t in range(1, manifest.trials))
+    fits = itertools.chain([estimates], _batched_fits(
+        tallies, lambda batch: fit_tallies(batch, lam, config, start)))
+    ok = all(perfect_recovery(edges_from_estimates(
+        fit, model.min_coupling, model.p), model) for fit in fits)
+    return ok, coupling_matrix(estimates, model.p)
 
 
 def _search_nmin(manifest: ExperimentManifest, model: IsingModel,
@@ -283,9 +302,8 @@ def run_error_curve(manifest: ExperimentManifest) -> list[dict]:
         lam = lambda_schedule(model.p, n, manifest.epsilon, mode="node")
         errors = []
         for t in range(manifest.trials):
-            seed = _seed_int(_derived_seed(manifest.seed, 2, idx, t))
-            estimates = fit_all_nodes(_sample(manifest, model, n, seed), lam,
-                                      config)
+            estimates = fit_all_nodes(_sample(manifest, model, n, 2, idx, t),
+                                      lam, config)
             errors.extend(square_error(est.theta_hat, model, est.u)
                           for est in estimates)
         rows.append({

@@ -233,10 +233,11 @@ def enumerate_exponents(model: IsingModel) -> np.ndarray:
     for start in range(0, total, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, total)
         idx = np.arange(start, stop, dtype=np.uint64)
+        bits = [(idx >> np.uint64(i) & np.uint64(1)).astype(bool)
+                for i in range(model.p)]
         acc = out[start:stop]
         for (i, j), theta in model.couplings.items():
-            differ = ((idx >> np.uint64(i)) ^ (idx >> np.uint64(j))) & np.uint64(1)
-            acc += theta * (1.0 - 2.0 * differ.astype(np.float64))
+            acc += np.where(bits[i] != bits[j], -theta, theta)
     return out
 
 

@@ -142,22 +142,6 @@ def _pack_words(words: np.ndarray, p: int) -> np.ndarray:
     return out[:, :p].reshape(-1)[:(n * p + 7) // 8]
 
 
-def _second_moments(designs, exclude: int) -> np.ndarray:
-    """sum_k w_k sigma_i sigma_j / total over the vertices != exclude,
-    added up over the designs. Integer weights sum exactly, so a
-    tally's moments are the correctly rounded sample averages."""
-    acc = 0.0
-    for spins, weights, total in designs:
-        others = np.delete(spins, exclude, axis=0)
-        part = 0.0
-        step = max(1, (1 << 22) // max(others.shape[0], 1))
-        for lo in range(0, others.shape[1], step):
-            block = others[:, lo:lo + step].astype(np.float64)
-            part = part + (block * weights[lo:lo + step]) @ block.T
-        acc = acc + part / total
-    return acc
-
-
 class SampleSet:
     """n configurations of p spins, held as words: n x W uint64
     configuration words, W = ceil(p / 64), spin i +1 iff bit i % 64 of
@@ -340,15 +324,6 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
             if after > 0 and after % thin == 0:
                 out[after // thin - 1] = state[at]
     return SampleSet(p, n, out)
-
-
-def empirical_covariance(samples: SampleSet, exclude: int) -> np.ndarray:
-    """Empirical second-moment matrix (1/n) sum_k sigma_i sigma_j over
-    the vertices != exclude, read off the tally. Symmetric, unit
-    diagonal, entries in [-1, 1]."""
-    if not 0 <= exclude < samples.p:
-        raise InputError(f"vertex {exclude} out of range for p={samples.p}")
-    return _second_moments([samples.tally], exclude)
 
 
 def write_samples_text(samples: SampleSet, path):

@@ -156,7 +156,25 @@ def face_hessians(design: Design, rows: np.ndarray, theta: np.ndarray,
     return hess / total
 
 
-def pattern_table(design: Design, rows, cols) -> Design:
+def _second_moments(designs, exclude: int) -> np.ndarray:
+    """sum_k w_k sigma_i sigma_j / total over the vertices != exclude,
+    summed over the designs: face_hessians at theta = 0. A tally's
+    integer weights sum exactly, to correctly rounded sample averages."""
+    return sum(face_hessians(d, [exclude], np.zeros((1, len(d.spins))),
+                             np.delete(np.arange(len(d.spins)),
+                                       exclude)[None])[0] for d in designs)
+
+
+def empirical_covariance(samples: SampleSet, exclude: int) -> np.ndarray:
+    """Empirical second-moment matrix (1/n) sum_k sigma_i sigma_j over
+    the vertices != exclude, read off the tally. Symmetric, unit
+    diagonal, entries in [-1, 1]."""
+    if not 0 <= exclude < samples.p:
+        raise InputError(f"vertex {exclude} out of range for p={samples.p}")
+    return _second_moments([samples.tally], exclude)
+
+
+def pattern_table(design, rows, cols) -> Design:
     """The design's sign-pattern tables of the focal vertices rows[i] on
     the columns cols[i] (len(rows) x k): the 2^k patterns of
     sigma_u * sigma_cols as a (k + 1) x 2^k design, where vertex 0 stands
@@ -164,17 +182,19 @@ def pattern_table(design: Design, rows, cols) -> Design:
     i + 1 exactly where bit i of c is set, with one row of weights per
     focal vertex: its design's weight on each pattern. At a theta row
     supported on cols[i], evaluate_rows of row i's table at focal vertex
-    0 gives the loss, and the gradient on cols[i], of the design's."""
+    0 gives the loss, and the gradient on cols[i], of the design's.
+    design may also be a list of designs of one total, one per row."""
     k = cols.shape[1]
     patterns = np.ones((k + 1, 1 << k), dtype=np.int8)
     patterns[1:] = -configurations_from_indices(np.arange(1 << k), k).T
     # One row at a time; float32 sums of powers of two are exact to k = 24.
-    spins, powers = design.spins, np.exp2(np.arange(k, dtype=np.float32))
+    powers = np.exp2(np.arange(k, dtype=np.float32))
+    designs = [design] * len(rows) if isinstance(design, Design) else design
     weights = np.array([
-        np.bincount((powers @ (spins[c] != spins[u])).astype(np.intp),
-                    weights=design.weights, minlength=1 << k)
-        for u, c in zip(rows, cols)])
-    return Design(patterns, weights, design.total)
+        np.bincount((powers @ (d.spins[c] != d.spins[u])).astype(np.intp),
+                    weights=d.weights, minlength=1 << k)
+        for d, u, c in zip(designs, rows, cols)])
+    return Design(patterns, weights, designs[0].total)
 
 
 class Evaluation(NamedTuple):

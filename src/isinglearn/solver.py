@@ -42,7 +42,8 @@ Hessians in one pass and solves their Newton systems in one batched call
 evaluates the rows still searching in one screening.evaluate_rows call,
 and rows drop out as they converge (at the start point too), stall or
 reach their iteration cap. minimize(view, config) is the one-row case: a
-view is the shared design plus its focal vertex.
+view is the shared design plus its focal vertex. minimize_rows also
+solves the rows on each of several designs of one p and total.
 
 Rows are solved on working sets (Blitz, Johnson & Guestrin 2015;
 Celer, Massias, Gramfort & Salmon 2018). The l1 penalty leaves most of a
@@ -265,24 +266,30 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
             np.array([out_iter, out_iter + backtracks, backtracks, stalls]))
 
 
-def minimize_rows(design: Design, rows, config: SolverConfig,
+def minimize_rows(design, rows, config: SolverConfig,
                   x0: np.ndarray | None = None) -> list[SolveReport]:
     """Minimize the penalized losses of the focal vertices rows of the
     design (on working sets or the full design, as the module docstring
     says); each report's solution lists the row's couplings to the
     other vertices in ascending order. x0, when given, holds one full
     p-wide starting row per focal vertex; its focal entries are ignored.
+    design may also be a list of designs that share p and total: the
+    rows are solved on each from x0, reports design by design.
     """
+    designs = [design] if isinstance(design, Design) else design
+    if len({(d.spins.shape[0], d.total) for d in designs}) > 1:
+        raise InputError("designs must share p and total")
     rows = np.asarray(rows, dtype=np.int64)
-    (p, m), r = design.spins.shape, rows.size
+    (p, _), nd, each = designs[0].spins.shape, len(designs), rows.size
     lam, tol, cap = config.lam, config.kkt_tolerance, config.max_iterations
-    if x0 is None:
-        x = np.zeros((r, p))
-    else:
-        x = np.array(x0, dtype=np.float64)
-        if x.shape != (r, p):
-            raise InputError(f"x0 has shape {x.shape}, expected ({r}, {p})")
-        x[np.arange(r), rows] = 0.0
+    x = np.zeros((each, p)) if x0 is None else np.array(x0, dtype=np.float64)
+    if x.shape != (each, p):
+        raise InputError(f"x0 has shape {x.shape}, expected ({each}, {p})")
+    x[np.arange(each), rows] = 0.0
+    # One solve row per design and focal vertex, design-major.
+    of = np.repeat(np.arange(nd), each)
+    x, rows, r = np.tile(x, (nd, 1)), np.tile(rows, nd), of.size
+    m = np.array([d.spins.shape[1] for d in designs])[of]
     value, obj, residual = np.empty((3, r))
     grad, saturated = np.empty((r, p)), np.zeros(r, dtype=bool)
     # Per-row iterations, evaluations, backtracks, stalls and restarts.
@@ -291,9 +298,11 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
     to_full = np.zeros(r, dtype=bool)
 
     def full_pass(i):
-        value[i], grad[i], sat = evaluate_rows(design, rows[i], x[i])
+        for d in np.unique(of[i]):
+            j = i[of[i] == d]
+            value[j], grad[j], sat = evaluate_rows(designs[d], rows[j], x[j])
+            saturated[j] |= sat
         counts[1, i] += 1
-        saturated[i] |= sat
 
     live, first = np.arange(r), True
     while True:
@@ -319,12 +328,12 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             must |= g - lam > tol
         first = False
         sizes = np.maximum(must.sum(axis=1), _WORKING_SET)
-        full = (to_full[live] | (sizes >= math.log2(m))
+        full = (to_full[live] | (np.exp2(sizes) >= m[live])
                 | (sizes > _WORKING_SET_CAP))
-        f = live[full]
-        if f.size:
+        for d in np.unique(of[live[full]]):
+            f = live[full & (of[live] == d)]
             x[f], obj[f], residual[f], saturated[f], run = _newton(
-                lambda i: (design, rows[f[i]]), x[f], value[f], grad[f],
+                lambda i: (designs[d], rows[f[i]]), x[f], value[f], grad[f],
                 saturated[f], lam, tol, cap - counts[0, f])
             counts[:4, f] += run
         live = live[~full]
@@ -341,7 +350,7 @@ def minimize_rows(design: Design, rows, config: SolverConfig,
             grp = sizes == k
             t = live[grp]
             cols = np.nonzero(work[grp])[1].reshape(-1, k)
-            table = pattern_table(design, rows[t], cols)
+            table = pattern_table([designs[d] for d in of[t]], rows[t], cols)
             start, start_grad = np.zeros((2, t.size, k + 1))
             start[:, 1:] = x[t[:, None], cols]
             start_grad[:, 1:] = grad[t[:, None], cols]

@@ -50,10 +50,10 @@ import numpy as np
 from .errors import InputError
 from .estimator import lambda_schedule
 from .model import IsingModel, beta_d, exact_distribution
-from .sampler import RNG_ALGORITHM, _indexed_design, _second_moments
-from .screening import (NodeView, evaluate_rows, remainder_kernel,
-                        remainder_kernel_floor, screening_gradient,
-                        taylor_remainder)
+from .sampler import RNG_ALGORITHM, _indexed_design
+from .screening import (NodeView, _second_moments, evaluate_rows,
+                        remainder_kernel, remainder_kernel_floor,
+                        screening_gradient, taylor_remainder)
 
 _CHUNK = 1 << 16
 # Smallest ||delta||_2 restricted_convexity_check draws.

@@ -9,6 +9,7 @@ from isinglearn import (EdgeSet, GlauberConfig, InputError, IsingModel,
                         lambda_schedule, learn_structure, make_grid_model,
                         make_random_model, perfect_recovery, result_to_json,
                         sample_exact, sample_glauber, square_error)
+from isinglearn.estimator import coupling_matrix, fit_tallies
 from isinglearn.sampler import Design
 from isinglearn.solver import minimize_rows
 
@@ -139,6 +140,35 @@ def test_all_node_fit_matches_one_row_fits(p):
         g = (s.data[:, others] * s.data[:, [est.u]]).astype(np.float64)
         grad = -(np.exp(-(g @ est.theta_hat)) @ g) / s.n
         assert kkt_residual(grad, est.theta_hat, lam) <= 1.01e-8
+
+
+def test_tallies_fitted_together_match_each_fitted_alone(table_builds):
+    # One lockstep solve over several sample sets of one size, from one
+    # start, finds what a solve of each set alone finds; its rows run on
+    # every set's pattern tables, stacked.
+    model = make_grid_model(4, 0.6, "spin_glass", seed=21)
+    n, tol = 4000, 1e-6
+    lam = lambda_schedule(model.p, n, 0.05)
+    cfg = SolverConfig(kkt_tolerance=tol)
+    start = coupling_matrix(fit_all_nodes(sample_exact(model, n // 2, 1),
+                                          lam, cfg), model.p)
+    sets = [sample_exact(model, n, seed) for seed in range(2, 7)]
+    table_builds.clear()
+    together = fit_tallies([s.tally for s in sets], lam, cfg, start)
+    assert len(together) == len(sets)
+    assert max(rows for rows, _ in table_builds) > model.p
+    for s, fit in zip(sets, together):
+        alone = fit_all_nodes(s, lam, cfg, start)
+        assert all(e.report.converged for e in fit + alone)
+        assert (edges_from_estimates(fit, model.min_coupling, model.p).edges
+                == edges_from_estimates(alone, model.min_coupling,
+                                        model.p).edges)
+        np.testing.assert_allclose(coupling_matrix(fit, model.p),
+                                   coupling_matrix(alone, model.p),
+                                   rtol=0, atol=tol)
+    with pytest.raises(InputError):
+        fit_tallies([sets[0].tally, sample_exact(model, n + 1, 9).tally],
+                    lam, cfg)
 
 
 @pytest.mark.parametrize("p", [9, 16, 70])

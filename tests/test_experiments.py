@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,23 @@ def test_nmin_glass_pins_four_seeds():
     found = [run_nmin_search(manifest_from_dict(dict(fields, seed=seed)))
              [0]["n_min"] for seed in (1, 2, 3, 4)]
     assert found == [36000, 34000, 34000, 34000]
+
+
+def test_nmin_glass_pins_width_09_at_five_seeds():
+    # The nmin-glass-4x4 benchmark manifest at width 0.9, swept alone
+    # and as the second width after 0.6: n_min at manifest seeds 1, 2,
+    # 3, 5 and 6, a pin that batching a candidate's trials keeps.
+    fields = dict(kind="nmin_vs_beta", family="spin_glass", side=4,
+                  trials=10, epsilon=0.05, n_start=1000,
+                  n_max=32_000_000, rel_width=0.10, kkt_tolerance=1e-6)
+    seeds = (1, 2, 3, 5, 6)
+    alone = [run_nmin_search(manifest_from_dict(
+        dict(fields, betas=[0.9], seed=seed)))[0]["n_min"] for seed in seeds]
+    second = [run_nmin_search(manifest_from_dict(
+        dict(fields, betas=[0.6, 0.9], seed=seed)))[1]["n_min"]
+        for seed in seeds]
+    assert alone == [192000, 208000, 352000, 416000, 240000]
+    assert second == [40000, 272000, 1408000, 80000, 96000]
 
 
 def test_nmin_gives_up_at_n_max():
@@ -175,7 +194,14 @@ def _candidate_starts(monkeypatch):
                                                         samples.p)))
         return estimates
 
+    def recording_all(tallies, lam, config=None, x0=None):
+        together = estimator.fit_tallies(tallies, lam, config, x0)
+        fits.extend((lam, x0, estimator.coupling_matrix(
+            estimates, len(estimates))) for estimates in together)
+        return together
+
     monkeypatch.setattr(experiments, "fit_all_nodes", recording)
+    monkeypatch.setattr(experiments, "fit_tallies", recording_all)
     run_nmin_search(_glass_nmin_manifest())
     candidates = []
     for lam, x0, theta in fits:
@@ -193,6 +219,9 @@ def test_nmin_trials_start_from_the_previous_candidates_first_trial(
     candidates = _candidate_starts(monkeypatch)
     firsts = [i for i, (_, x0, _) in enumerate(candidates) if x0 is None]
     assert firsts[0] == 0 and len(firsts) == 2
+    # Every trial is seen, trial 0's and the batched ones.
+    trials = _glass_nmin_manifest().trials
+    assert max(len(thetas) for _, _, thetas in candidates) == trials
     for i, (_, x0, _) in enumerate(candidates):
         if i not in firsts:
             assert np.array_equal(x0, candidates[i - 1][2][0])
@@ -228,6 +257,53 @@ def test_first_failing_trial_ends_a_candidate(monkeypatch):
             assert oks.index(False) == len(oks) - 1
     # Some candidate failed before its last trial and ran no further.
     assert any(len(oks) < manifest.trials for oks in failed)
+
+
+@pytest.mark.parametrize("budget", [1, 8000])
+def test_batches_of_trials_hold_at_most_the_budget(monkeypatch, budget):
+    # A candidate's trials after the first are fitted in batches of
+    # tallies up to the byte budget; a tally over it is fitted alone
+    # before the next trial draws, and every fitted tally is freed
+    # before the next draw. n_min is the same at every budget.
+    manifest = ExperimentManifest(kind="nmin_vs_beta", seed=7,
+                                  family="spin_glass", side=3, betas=(0.6,),
+                                  trials=5, n_start=1000, rel_width=0.25,
+                                  kkt_tolerance=1e-6)
+    expected = run_nmin_search(manifest)[0]["n_min"]
+    # Per call, in order: "draw", "first" (trial 0's fit) or the bytes
+    # of each tally in a batch.
+    events = []
+    fitted = []  # weak references to the weights of each fitted tally
+    sample, first = experiments._sample, experiments.fit_all_nodes
+    fit = experiments.fit_tallies
+
+    def drawing(*args):
+        assert all(ref() is None for ref in fitted)
+        events.append("draw")
+        return sample(*args)
+
+    def fitting_first(*args):
+        events.append("first")
+        return first(*args)
+
+    def fitting(tallies, *args):
+        events.append([t.spins.nbytes + t.weights.nbytes for t in tallies])
+        fitted.extend(weakref.ref(t.weights) for t in tallies)
+        return fit(tallies, *args)
+
+    monkeypatch.setattr(experiments, "_sample", drawing)
+    monkeypatch.setattr(experiments, "fit_all_nodes", fitting_first)
+    monkeypatch.setattr(experiments, "fit_tallies", fitting)
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
+    assert run_nmin_search(manifest)[0]["n_min"] == expected
+    batches = [(i, sizes) for i, sizes in enumerate(events)
+               if isinstance(sizes, list)]
+    assert batches
+    for i, sizes in batches:
+        assert sum(sizes) <= budget or len(sizes) == 1
+        if sum(sizes) > budget:
+            assert events[i - 1] == "draw" and events[i - 2] != "draw"
+    assert any(len(sizes) > 1 for _, sizes in batches) == (budget > 1)
 
 
 @pytest.mark.parametrize("n_start, n_max, rel_width, succeeds, order, result", [

@@ -11,6 +11,7 @@ from isinglearn import (CapabilityError, InputError, IsingModel, beta_d,
                         make_random_model, model_from_json, model_to_json,
                         population_gradient_moments, sample_exact,
                         verification_report)
+from isinglearn import model as model_module
 from isinglearn import sampler as sampler_module
 from isinglearn.model import (configurations_from_indices, load_model,
                               save_model)
@@ -95,6 +96,17 @@ def test_sign_flip_symmetry():
     dist = exact_distribution(m)
     flipped = (1 << 5) - 1 - np.arange(1 << 5)
     assert np.allclose(dist, dist[flipped], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("model", [
+    make_grid_model(3, 0.7, "spin_glass", seed=4),
+    make_random_model(10, 0.4, 0.2, 0.9, seed=8)])
+def test_enumerated_exponents_are_the_energy_exponents(model):
+    # Bit for bit: both add the same +/-theta terms in edge order.
+    exponents = model_module.enumerate_exponents(model)
+    spins = configurations_from_indices(np.arange(1 << model.p), model.p)
+    assert exponents.tolist() == [energy_exponent(model, row)
+                                  for row in spins]
 
 
 def test_enumeration_guard():

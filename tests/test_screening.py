@@ -5,7 +5,7 @@ from isinglearn import (InputError, IsingModel, SampleSet, empirical_covariance,
                         evaluate, exact_distribution, fit_all_nodes,
                         lambda_schedule, make_grid_model, make_random_model,
                         node_view, remainder_kernel, remainder_kernel_floor,
-                        sample_exact, sampler, screening_gradient,
+                        sample_exact, sampler, screening, screening_gradient,
                         screening_value, taylor_remainder)
 from isinglearn.model import configurations_from_indices
 from isinglearn.screening import (LINEAR_FORM_LIMIT, evaluate_rows,
@@ -109,8 +109,8 @@ def test_count_design_matches_tally_of_the_same_samples(p):
     np.testing.assert_allclose(got_g, want_g, rtol=1e-14,
                                atol=1e-14 * np.abs(want_g).max())
     for u in range(p):
-        assert np.array_equal(sampler._second_moments([design], u),
-                              sampler._second_moments([tally], u))
+        assert np.array_equal(screening._second_moments([design], u),
+                              screening._second_moments([tally], u))
 
 
 def test_views_share_the_sample_sets_design():
