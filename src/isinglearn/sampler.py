@@ -11,21 +11,23 @@ generator (RNG_ALGORITHM below names it for output metadata).
 
 A sample set holds its rows as configuration words, spin i in bit
 i % 64 of word i // 64 (for p <= 64 one word, the configuration
-index); each source builds them once: an exact draw by one guide-table
-lookup of its uniforms, a binary file straight from its payload, rows
-by packing. It is read through its tally (SampleSet.tally): a Design,
-the distinct configurations up to the global flip as int8 columns with
-their counts, ascending by configuration index for p <= 64 and by their
-words, word 0 first, above. Designs built from weights over
-configuration indices (multinomial counts, exact probabilities) have
-the same form, so every loss and second moment reads one kind of data.
+index); each source builds them once: an exact draw by a guide-table
+lookup of its uniforms and a binary file straight from its payload,
+each holding one chunk of _CHUNK rows at a time beside the words, and
+rows by packing. It is read through its tally (SampleSet.tally): a
+Design, the distinct configurations up to the global flip as int8
+columns with their counts, ascending by configuration index for
+p <= 64 and by their words, word 0 first, above. Designs built from
+weights over configuration indices (multinomial counts, exact
+probabilities) have the same form, so every loss and second moment
+reads one kind of data.
 
 Sample sets travel either as text ("p n" header then one row of
 +1/-1 tokens per sample) or as a packed binary stream (magic "ISNG",
 little-endian u32 p and u64 n, then row-major bits, bit value 1
 meaning spin +1, LSB-first within each byte): row k's spin i is
 stream bit k p + i. Binary files are read and written from the words,
-never decoding rows.
+a chunk at a time, never decoding rows.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ from .model import IsingModel, configurations_from_indices
 RNG_ALGORITHM = "numpy-pcg64"
 
 _MAGIC = b"ISNG"
+
+# Rows in one pass of a draw or binary I/O: a multiple of 8, whole bytes.
+_CHUNK = 1 << 16
 
 class Design(NamedTuple):
     """Weighted configurations, the data every loss and moment reads:
@@ -78,7 +83,7 @@ def _tally_words(words: np.ndarray, p: int) -> Design:
     flip, each taken with spin 0 at +1, weighted by their counts; the
     columns ascend by index for p <= 64 and by their words, word 0
     first, above."""
-    if p <= 21:
+    if _dense(words.shape[0], p):
         return _tally_indices(words[:, 0].view(np.int64), p)
     # Rows with spin 0 at -1 are flipped: XOR with the p-bit mask.
     mask = np.full(words.shape[1], ~np.uint64(0))
@@ -95,6 +100,12 @@ def _tally_words(words: np.ndarray, p: int) -> Design:
     return _indexed_design(distinct, counts, p, words.shape[0])
 
 
+def _dense(n: int, p: int) -> bool:
+    """Whether a tally of n rows bincounts the 2^p indices, not sorts:
+    from n = 2^p / 4 on, where that is faster, up to 24 MB of counts."""
+    return p <= 21 and 1 << p <= 4 * n
+
+
 def _tally_indices(k: np.ndarray, p: int) -> Design:
     """_tally_words of the rows with configuration indices k, each
     counted with its flip 2^p - 1 - k at the odd one of the two."""
@@ -104,26 +115,24 @@ def _tally_indices(k: np.ndarray, p: int) -> Design:
     return _indexed_design(odd.astype(np.uint64) * 2 + 1, full[odd], p, k.size)
 
 
-def _row_words(packed: np.ndarray, p: int, n: int) -> np.ndarray:
-    """The n rows of a packed payload as n x W configuration words: the
-    p bits from stream bit k p on have bit i % 64 of word i // 64 set
-    iff spin i is +1. Eight rows fill exactly p bytes, so row j of each
-    group of eight starts at byte j p // 8 of the group, bit s = j p % 8.
-    Its word w is the 8 bytes from 8 w further on, shifted down by s,
-    with the low s bits of the ninth byte on top where the row reaches
-    them."""
-    groups, w = -(-n // 8), -(-p // 64)
-    buf = np.zeros(groups * p + 8 * w, dtype=np.uint8)
-    buf[:packed.size] = packed
-    words = np.empty((groups * 8, w), dtype=np.uint64)
-    for j in range(8):
+def _row_words(buf: np.ndarray, p: int, out: np.ndarray):
+    """Write the rows of a packed payload into out, r x W configuration
+    words, r a multiple of 8: the p bits from stream bit k p on have bit
+    i % 64 of word i // 64 set iff spin i is +1. Row j of each group of
+    q = 8 / gcd(p, 8) rows starts at byte j p // 8 of the group, bit
+    s = j p % 8. Its word w is the 8 bytes from 8 w further on, shifted
+    down by s, with the low s bits of the ninth byte on top where the
+    row reaches them; buf holds 8 W bytes past the payload."""
+    q = 8 // math.gcd(p, 8)
+    groups, step = out.shape[0] // q, q * p // 8
+    for j in range(q):
         at, s = j * p // 8, j * p % 8
-        words[j::8] = np.ndarray((groups, w), "<u8", buf, at, (p, 8)) >> s
+        view = np.ndarray((groups, out.shape[1]), "<u8", buf, at, (step, 8))
+        np.right_shift(view, s, out=out[j::q])
         if s and s + p > 64:
-            ninth = np.ndarray((groups, w), np.uint8, buf, at + 8, (p, 8))
-            words[j::8] |= ninth.astype(np.uint64) << (64 - s)
-    words[:, -1] &= ~np.uint64(0) >> np.uint64(-p % 64)
-    return words[:n]
+            ninth = np.ndarray(view.shape, np.uint8, buf, at + 8, (step, 8))
+            out[j::q] |= ninth.astype(np.uint64) << (64 - s)
+    out[:, -1] &= ~np.uint64(0) >> np.uint64(-p % 64)
 
 
 def _pack_words(words: np.ndarray, p: int) -> np.ndarray:
@@ -222,32 +231,30 @@ def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     enumerated distribution, through the model's CDF and guide table."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    # Per row: 8 bytes (its uniform, then its word), its row once decoded
-    # (p), and the most one pass holds beside them: the lookup's 4 (bucket
-    # or index) and 24 f with f <= 2^p / B searched in cut buckets, or a
-    # file's 1 + p / 4 + W: at most 16 to p = 21, 28 above. To p = 21 the
-    # tally also holds 12 bytes a configuration, its 2^p int64 counts and
-    # their half-length fold, and its distinct rows fit in what the fold
-    # frees: tracemalloc reads 57.7 bytes a row in all on 2^20 uniform
-    # draws at p = 21, against 69 charged. Above, beside each row's word,
-    # its flipped copy (8) holds the sort's 34 (a copy, a mask, each
-    # distinct word, its run's start and end) or the decode's 16 + 2 p
-    # (each distinct row's word and count, the row twice): 24 + 2 p in
-    # all, more than 28.
+    # It holds its words and rows (8 + p bytes a row) and one chunk's
+    # lookup (36 a row, all searched). Its tally bincounts (12 bytes a
+    # configuration) or flips and sorts (17 a row), then decodes each
+    # distinct row twice beside its word and count (24 + 2 p).
     p = model.p
-    _check_memory(n * (8 + p + (16 if p <= 21 else 24 + 2 * p))
-                  + (12 << p if p <= 21 else 0), f"{n} exact samples of p={p}")
-    u = np.random.default_rng(seed).random(n)
-    return SampleSet._of_words(p, _lookup(model._cdf, model._guide, u))
+    _check_memory(n * (8 + p) + 36 * min(n, _CHUNK)
+                  + (24 + 2 * p) * min(n, 1 << (p - 1))
+                  + (12 << p if _dense(n, p) else 17 * n),
+                  f"{n} exact samples of p={p}")
+    # One generator's chunks of uniforms are the stream of one call.
+    rng, words = np.random.default_rng(seed), np.empty((n, 1), np.uint64)
+    for lo in range(0, n, _CHUNK):
+        u = rng.random(min(_CHUNK, n - lo))
+        words[lo:lo + u.size, 0] = _lookup(model._cdf, model._guide, u)
+    return SampleSet._of_words(p, words)
 
 
 def _lookup(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u, side="right") as n x 1 configuration
-    words, through the guide table: searched only in cut buckets."""
+    """np.searchsorted(cdf, u, side="right") as int32 configuration
+    indices, through the guide table: searched only in cut buckets."""
     indices = guide[(u * guide.size).astype(np.int32)]
     cut = np.flatnonzero(indices < 0)
     indices[cut] = np.searchsorted(cdf, u[cut], side="right")
-    return indices.astype(np.uint64)[:, None]
+    return indices
 
 
 def _colour_classes(model: IsingModel) -> list[np.ndarray]:
@@ -330,9 +337,9 @@ def write_samples_text(samples: SampleSet, path):
     p = samples.p
     with open(path, "wb") as fh:
         fh.write(f"{p} {samples.n}\n".encode("ascii"))
-        # 2^16 rows a chunk keep memory flat; each spin takes three bytes.
-        for lo in range(0, samples.n, 1 << 16):
-            rows = samples.data[lo:lo + (1 << 16)]
+        # Chunks keep memory flat; each spin takes three bytes.
+        for lo in range(0, samples.n, _CHUNK):
+            rows = samples.data[lo:lo + _CHUNK]
             text = np.empty((rows.shape[0], p, 3), dtype=np.uint8)
             text[:, :, 0] = ord(",") - rows  # "+" for +1, "-" for -1
             text[:, :, 1] = ord("1")
@@ -428,11 +435,10 @@ def _read_samples_text(path) -> SampleSet:
 
 
 def write_samples_binary(samples: SampleSet, path):
-    packed = _pack_words(samples.words, samples.p)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", samples.p, samples.n))
-        fh.write(packed.tobytes())
+        fh.write(_MAGIC + struct.pack("<IQ", samples.p, samples.n))
+        for rows in np.split(samples.words, range(_CHUNK, samples.n, _CHUNK)):
+            fh.write(_pack_words(rows, samples.p).tobytes())
 
 
 def read_samples_binary(path) -> SampleSet:
@@ -445,12 +451,17 @@ def read_samples_binary(path) -> SampleSet:
             raise InputError("truncated sample binary header")
         p, n = struct.unpack("<IQ", header)
         expected = (n * p + 7) // 8
-        payload = fh.read()
-        if len(payload) != expected:
+        size = os.fstat(fh.fileno()).st_size - 16
+        if size != expected:
             raise InputError(
-                f"sample binary payload has {len(payload)} bytes, expected {expected}"
-            )
-    if n < 1 or p < 1:
-        raise InputError("need n >= 1 and p >= 1")
-    packed = np.frombuffer(payload, dtype=np.uint8)
-    return SampleSet._of_words(p, _row_words(packed, p, n))
+                f"sample binary payload has {size} bytes, expected {expected}")
+        if n < 1 or p < 1:
+            raise InputError("need n >= 1 and p >= 1")
+        # Whole groups of 8 rows, so every chunk decodes whole bytes.
+        words = np.empty((-(-n // 8) * 8, -(-p // 64)), dtype=np.uint64)
+        buf = np.zeros(min(len(words), _CHUNK) * p // 8 + 8 * words.shape[1],
+                       dtype=np.uint8)
+        for rows in np.split(words, range(_CHUNK, n, _CHUNK)):
+            fh.readinto(buf[:len(rows) * p // 8])
+            _row_words(buf, p, rows)
+    return SampleSet._of_words(p, words[:n])

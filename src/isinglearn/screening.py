@@ -96,7 +96,8 @@ def node_view(samples: SampleSet, u: int) -> NodeView:
     return NodeView(samples.tally, u, samples.n)
 
 
-def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
+def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
+                  stack=...):
     """Losses of the focal vertices rows[i] at the coupling rows
     theta[i] (len(rows) x p, zero at each focal vertex), in one pass
     over the design in blocks of configurations.
@@ -104,7 +105,8 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
     Returns (values, gradients, saturated): the focal entries of
     gradients are 0; saturated[i] tells whether row i's linear forms
     hit the clamp. The design's weights are one row shared by every
-    focal vertex, or len(rows) rows, row i for rows[i] (pattern_table).
+    focal vertex, or a stack of rows (pattern_table), row stack[i] for
+    rows[i], gathered a block at a time (by default row i).
     """
     spins, weights, total = design
     values = grads = 0.0
@@ -124,7 +126,7 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
             saturated |= risky & (np.abs(e).max(axis=1) > LINEAR_FORM_LIMIT)
             np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
         np.exp(e, out=e)
-        e *= weights[..., lo:lo + block]
+        e *= weights[stack, lo:lo + block]
         # Along the contiguous axis numpy sums pairwise, which keeps the
         # rounding far below the solver's 1e-15 slack.
         values = values + e.sum(axis=1)
@@ -137,11 +139,11 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray):
 
 
 def face_hessians(design: Design, rows: np.ndarray, theta: np.ndarray,
-                  faces: np.ndarray) -> np.ndarray:
-    """The Hessians of the losses of evaluate_rows(design, rows, theta)
-    on the columns faces[i] of row i (len(rows) x k; a focal column's
-    entries are not masked): len(rows) x k x k, one batched product a
-    block with each row's weighted copy of its k columns of the block."""
+                  faces: np.ndarray, stack=...) -> np.ndarray:
+    """The Hessians of the losses of evaluate_rows(design, rows, theta,
+    stack) on the columns faces[i] of row i (len(rows) x k; a focal
+    column's entries are not masked): len(rows) x k x k, one batched
+    product a block with each row's weighted copy of its k columns."""
     spins, weights, total = design
     hess = 0.0
     block = max(1, _BLOCK_ENTRIES // faces.size)
@@ -150,7 +152,7 @@ def face_hessians(design: Design, rows: np.ndarray, theta: np.ndarray,
         e = (theta @ c) * -c[rows]
         np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
         np.exp(e, out=e)
-        e *= weights[..., lo:lo + block]
+        e *= weights[stack, lo:lo + block]
         f = c[faces]
         hess = hess + (f * e[:, None]) @ f.transpose(0, 2, 1)
     return hess / total

@@ -171,10 +171,11 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
             budget: np.ndarray):
     """Run the scheme of the module docstring on r rows at once from
     the starts x, with their values and gradients; design_of(i) gives
-    the design and focal vertices of the rows i. budget caps each row's
-    iterations. Returns each row's last accepted iterate, objective,
-    residual and saturation flag, and a 4 x r array of its iterations,
-    evaluations (its start's not counted), backtracks and stalls."""
+    the design, focal vertices and weight stack of the rows i. budget
+    caps each row's iterations. Returns each row's last accepted iterate,
+    objective, residual and saturation flag, and a 4 x r array of its
+    iterations, evaluations (its start's not counted), backtracks and
+    stalls."""
     r, p = x.shape
     obj = value + lam * np.abs(x).sum(axis=1)
     residual = _kkt_rows(grad, x, lam)
@@ -212,7 +213,8 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
         direction = np.zeros_like(x)
         chunk = max(1, _HESSIAN_ENTRIES // (k * k))
         for c in (slice(lo, lo + chunk) for lo in range(0, pos.size, chunk)):
-            hess = face_hessians(*design_of(pos[c]), x[c], cols[c])
+            design, focal, stack = design_of(pos[c])
+            hess = face_hessians(design, focal, x[c], cols[c], stack)
             system = np.where(inside[c, :, None] & inside[c, None, :], hess,
                               np.eye(k))
             np.put_along_axis(direction[c], cols[c],
@@ -235,7 +237,8 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
             trial = np.where(gradient_step[todo, None],
                              soft_threshold(at - ts * grad[todo], ts * lam),
                              np.where(trial * sign[todo] > 0.0, trial, 0.0))
-            v, gr, sat = evaluate_rows(*design_of(pos[todo]), trial)
+            design, focal, stack = design_of(pos[todo])
+            v, gr, sat = evaluate_rows(design, focal, trial, stack)
             pen = lam * np.abs(trial).sum(axis=1)
             res = _kkt_rows(gr, trial, lam)
             promised = ((grad[todo] * (trial - at)).sum(axis=1) + pen
@@ -333,8 +336,8 @@ def minimize_rows(design, rows, config: SolverConfig,
         for d in np.unique(of[live[full]]):
             f = live[full & (of[live] == d)]
             x[f], obj[f], residual[f], saturated[f], run = _newton(
-                lambda i: (designs[d], rows[f[i]]), x[f], value[f], grad[f],
-                saturated[f], lam, tol, cap - counts[0, f])
+                lambda i: (designs[d], rows[f[i]], ...), x[f], value[f],
+                grad[f], saturated[f], lam, tol, cap - counts[0, f])
             counts[:4, f] += run
         live = live[~full]
         if live.size == 0:
@@ -355,8 +358,7 @@ def minimize_rows(design, rows, config: SolverConfig,
             start[:, 1:] = x[t[:, None], cols]
             start_grad[:, 1:] = grad[t[:, None], cols]
             sol, _, res, saturated[t], run = _newton(
-                lambda i: (table._replace(weights=table.weights[i]),
-                           np.zeros(len(i), dtype=np.int64)),
+                lambda i: (table, np.zeros(len(i), dtype=np.int64), i),
                 start, value[t], start_grad, saturated[t], lam, tol,
                 cap - counts[0, t])
             x[t] = 0.0

@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from isinglearn import (CapabilityError, GlauberConfig, InputError,
                         read_samples_binary, read_samples_text, sample_exact,
                         sample_glauber, write_samples_binary,
                         write_samples_text)
-from isinglearn.sampler import _colour_classes, _lookup
+from isinglearn import sampler as sampler_module
+from isinglearn.sampler import _CHUNK, _colour_classes, _lookup
 
 
 def _config_counts(samples: SampleSet) -> np.ndarray:
@@ -322,6 +324,27 @@ def test_drawn_tally_is_the_tally_of_its_rows(model, n):
     assert _ascends_by_words(got)
 
 
+@pytest.mark.parametrize("p, n", [(4, 3), (16, 1000), (16, 1 << 14),
+                                  (21, 1000), (21, 1 << 19)])
+def test_tally_by_sort_is_the_tally_by_bincount(monkeypatch, p, n):
+    # Up to p = 21 a tally counts by a bincount over the 2^p indices
+    # once n reaches 2^p / 4, and sorts below; either gives one design.
+    # Rows repeat: they come from 300 configurations.
+    rng = np.random.default_rng(p + n)
+    pool = rng.integers(0, 1 << p, 300, dtype=np.uint64)
+    words = pool[rng.integers(0, pool.size, n)][:, None]
+    assert sampler_module._dense(n, p) == (n >= 1 << (p - 2))
+    tallies = []
+    for dense in (True, False):
+        monkeypatch.setattr(sampler_module, "_dense", lambda *_: dense)
+        tallies.append(SampleSet._of_words(p, words).tally)
+    counted, sorted_ = tallies
+    assert np.array_equal(counted.spins, sorted_.spins)
+    assert counted.weights.dtype == sorted_.weights.dtype
+    assert np.array_equal(counted.weights, sorted_.weights)
+    assert counted.total == sorted_.total
+
+
 def test_gapped_model_has_unreachable_configurations():
     assert np.any(np.diff(np.cumsum(exact_distribution(_GAPPED))) == 0.0)
     s = sample_exact(_GAPPED, 80000, seed=83)
@@ -333,11 +356,15 @@ def test_gapped_model_has_unreachable_configurations():
                               "one-spin"])
 @pytest.mark.parametrize("seed", [0, 5, 424242])
 def test_drawn_rows_are_the_inverse_cdf_rows(model, seed):
-    s = sample_exact(model, 1000, seed)
-    assert s.data.dtype == np.int8
-    assert np.array_equal(s.data, _old_exact_rows(model, 1000, seed))
-    # Decoded once, then kept.
-    assert s.data is s.data
+    # A draw takes its uniforms a chunk at a time from one generator;
+    # they are the uniforms of one call on either side of every chunk
+    # edge.
+    for n in [1000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]:
+        s = sample_exact(model, n, seed)
+        assert s.data.dtype == np.int8
+        assert np.array_equal(s.data, _old_exact_rows(model, n, seed)), n
+        # Decoded once, then kept.
+        assert s.data is s.data
 
 
 def _edge_uniforms(model: IsingModel) -> np.ndarray:
@@ -369,7 +396,7 @@ def test_cdf_is_cut_at_one():
                               "one-spin", "past-one"])
 def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
     u = _edge_uniforms(model)
-    words = _lookup(model._cdf, model._guide, u)
+    words = _lookup(model._cdf, model._guide, u).astype(np.uint64)[:, None]
     s = SampleSet._of_words(model.p, words)
     # The table answers some of these uniforms; where a CDF value cuts a
     # bucket (on all but the gapped and one-spin models) the search
@@ -398,21 +425,84 @@ def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
 
 
 def test_exact_refusal_counts_the_lookup(monkeypatch):
-    # Beside each row's uniform or word and its decoded row, n (p + 8)
-    # bytes, the refusal counts 16 bytes a row for the lookup or the
-    # file up to p = 21, and the tally's 12 bytes a configuration. Above,
-    # the tally's 24 + 2 p exceeds the 28 of a lookup where every uniform
-    # may be searched.
+    # Beside each row's word and its decoded row, n (p + 8) bytes, the
+    # refusal counts 36 bytes a row for the lookup of a chunk (here all
+    # n rows), and the tally: at p = 4 its 12 bytes a configuration and
+    # its 8 distinct rows, 24 + 2 p bytes each; from p = 21 on, n is far
+    # below 2^p, so the tally sorts, 17 bytes a row, and every row may
+    # be distinct.
     n = 1000
     pages = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    for p, extra, counts in [(4, 16, 12 << 4), (21, 16, 12 << 21),
-                             (22, 24 + 44, 0), (23, 24 + 46, 0)]:
+    for p, extra, counts in [(4, 36, (12 << 4) + 32 * 8),
+                             (21, 36 + 17 + 24 + 42, 0),
+                             (22, 36 + 17 + 24 + 44, 0),
+                             (23, 36 + 17 + 24 + 46, 0)]:
         pages["SC_PHYS_PAGES"] = n * (p + 8 + extra) + counts - 1
         with pytest.raises(CapabilityError, match="physical memory"):
             sample_exact(IsingModel(p, {}), n, seed=0)
-    pages["SC_PHYS_PAGES"] = n * (4 + 8 + 16) + (12 << 4)
+    pages["SC_PHYS_PAGES"] = n * (4 + 8 + 36) + (12 << 4) + 32 * 8
     assert sample_exact(IsingModel(4, {}), n, seed=0).n == n
+
+
+def _traced_peak(run) -> int:
+    """The tracemalloc peak of run(), in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_refusal_bounds_what_a_draw_holds(tmp_path, monkeypatch):
+    # The charge bounds the peak of a draw with its tally and rows, and
+    # of the file read back with both; edgeless models draw nearly every
+    # row distinct once 2^p is far above n, so each peak is at least a
+    # third of the charge. A write packs one chunk at a time, so its
+    # peak stays under 1 MB. The grid takes the bincount tally (p = 4,
+    # 16 and 21 at 2^19 rows) and the sort (p = 21 at 2^17, p = 22).
+    charges = []
+    monkeypatch.setattr(sampler_module, "_check_memory",
+                        lambda nbytes, what: charges.append(nbytes))
+    path = tmp_path / "s.bin"
+
+    def with_tally_and_rows(make):
+        def run():
+            s = make()
+            return s.tally, s.data
+        return run
+
+    for p, sizes in [(4, [1 << 18]), (16, [1 << 18]), (21, [1 << 17, 1 << 19]),
+                     (22, [1 << 18])]:
+        model = IsingModel(p, {})
+        model._guide  # enumerated before tracing
+        for n in sizes:
+            drawn = _traced_peak(with_tally_and_rows(
+                lambda: sample_exact(model, n, seed=p)))
+            charge, s = charges[-1], sample_exact(model, n, seed=p)
+            written = _traced_peak(lambda: write_samples_binary(s, path))
+            read = _traced_peak(with_tally_and_rows(
+                lambda: read_samples_binary(path)))
+            for peak in (drawn, read):
+                assert charge / 3 <= peak <= charge, (p, n, peak, charge)
+            assert written < 1 << 20, (p, n, written)
+
+
+def test_binary_header_past_its_payload_allocates_nothing(tmp_path):
+    # 2^22 rows of 8 spins, 4 MB, under a header that declares one row
+    # more, and under the largest n a header can hold.
+    path = tmp_path / "short.bin"
+    payload = bytes(1 << 22)
+    for n in [(1 << 22) + 1, 2 ** 64 - 1]:
+        path.write_bytes(b"ISNG" + struct.pack("<IQ", 8, n) + payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="payload has"):
+                read_samples_binary(path)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 def test_glauber_refusal_counts_the_words(monkeypatch):
@@ -484,6 +574,20 @@ def test_read_set_counts_the_tally_of_its_rows(tmp_path, p, n):
     assert np.array_equal(got.weights, want.weights)
     assert got.total == want.total and type(got.total) is type(want.total)
     assert _ascends_by_words(got)
+
+
+@pytest.mark.parametrize("p", [1, 16, 65])
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
+def test_binary_round_trip_across_chunks(tmp_path, p, n):
+    # Written and read a chunk of rows at a time, the file is still the
+    # packed stream of all its rows, and reads back to the same words.
+    s = _set_to_write(p, n)
+    path = tmp_path / "s.bin"
+    write_samples_binary(s, path)
+    bits = np.packbits(s.data.reshape(-1) > 0, bitorder="little")
+    assert path.read_bytes() == (b"ISNG" + struct.pack("<IQ", p, n)
+                                 + bits.tobytes())
+    assert np.array_equal(read_samples_binary(path).words, s.words)
 
 
 # Every n makes 64 n bits whole bytes, so p = 64 has no padding; the

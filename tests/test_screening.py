@@ -304,6 +304,31 @@ def test_hessian_matches_per_sample_formula(p):
         np.testing.assert_allclose(t_hess[u], want, rtol=1e-12, atol=scale)
 
 
+def test_stacked_weight_rows_read_as_their_copy():
+    # Rows of a stacked table picked by stack, gathered a block at a
+    # time (4096 columns make two blocks here), evaluate exactly as a
+    # table of their copied weight rows.
+    rng = np.random.default_rng(3)
+    p, k = 16, 12
+    data = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3000, p))
+    s = SampleSet(p, len(data), data)
+    rows = np.arange(p)
+    cols = np.array([np.sort(rng.choice(np.delete(rows, u), k, replace=False))
+                     for u in rows])
+    table = pattern_table(s.tally, rows, cols)
+    pick = np.array([13, 2, 2, 7])
+    theta = np.zeros((pick.size, k + 1))
+    theta[:, 1:] = rng.normal(scale=0.4, size=(pick.size, k))
+    focal = np.zeros(pick.size, dtype=np.int64)
+    faces = np.tile(np.arange(1, 4), (pick.size, 1))
+    copy = table._replace(weights=table.weights[pick])
+    for got, want in zip(evaluate_rows(table, focal, theta, pick),
+                         evaluate_rows(copy, focal, theta)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(face_hessians(table, focal, theta, faces, pick),
+                          face_hessians(copy, focal, theta, faces))
+
+
 def test_dimension_mismatch_rejected():
     s = sample_exact(make_grid_model(2, 0.5), 100, seed=2)
     view = node_view(s, 0)

@@ -357,10 +357,10 @@ def test_many_wide_rows_batch_their_newton_systems(monkeypatch):
     batches = []
     face_hessians = solver.face_hessians
 
-    def recording(design, rows, theta, faces):
+    def recording(design, rows, theta, faces, stack):
         if design.weights.ndim == 1:
             batches.append(faces.shape)
-        return face_hessians(design, rows, theta, faces)
+        return face_hessians(design, rows, theta, faces, stack)
 
     monkeypatch.setattr(solver, "face_hessians", recording)
     monkeypatch.setattr(solver, "_HESSIAN_ENTRIES", 1 << 13)
