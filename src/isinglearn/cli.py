@@ -278,10 +278,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapabilityError as exc:

@@ -113,9 +113,11 @@ def coupling_matrix(estimates: list[NodeEstimate], p: int) -> np.ndarray:
     diagonal)."""
     if len(estimates) != p or any(est.u != u for u, est in enumerate(estimates)):
         raise InputError("need one estimate per vertex, ordered by vertex id")
+    if any(np.shape(est.theta_hat) != (p - 1,) for est in estimates):
+        raise InputError(f"every estimate needs theta_hat of shape ({p - 1},)")
     theta = np.zeros((p, p))
-    for est in estimates:
-        theta[est.u, np.arange(p) != est.u] = est.theta_hat
+    theta[~np.eye(p, dtype=bool)] = np.concatenate(
+        [est.theta_hat for est in estimates])
     return theta
 
 

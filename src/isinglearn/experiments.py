@@ -234,10 +234,7 @@ def _search_nmin(manifest: ExperimentManifest, model: IsingModel,
     for attempt in itertools.count(1):
         ok, start = _all_trials_succeed(manifest, model, n, param_index,
                                         attempt, start)
-        if ok:
-            hi = n
-        else:
-            lo = n
+        lo, hi = (lo, n) if ok else (n, hi)
         if hi is None:
             n = 2 * lo
             if n > manifest.n_max:
@@ -333,9 +330,7 @@ def write_rows_csv(path, header: str, rows) -> None:
 
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x)."""
-    xs = np.log(np.asarray(xs, dtype=np.float64))
-    ys = np.log(np.asarray(ys, dtype=np.float64))
-    return float(np.polyfit(xs, ys, 1)[0])
+    return semilog_slope(np.log(np.asarray(xs, dtype=np.float64)), ys)
 
 
 def semilog_slope(xs, ys) -> float:

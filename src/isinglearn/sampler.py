@@ -12,15 +12,15 @@ generator (RNG_ALGORITHM below names it for output metadata).
 A sample set holds its rows as configuration words, spin i in bit
 i % 64 of word i // 64 (for p <= 64 one word, the configuration
 index); each source builds them once: an exact draw by a guide-table
-lookup of its uniforms and a binary file straight from its payload,
-each holding one chunk of _CHUNK rows at a time beside the words, and
-rows by packing. It is read through its tally (SampleSet.tally): a
-Design, the distinct configurations up to the global flip as int8
-columns with their counts, ascending by configuration index for
-p <= 64 and by their words, word 0 first, above. Designs built from
-weights over configuration indices (multinomial counts, exact
-probabilities) have the same form, so every loss and second moment
-reads one kind of data.
+lookup of _DRAW_CHUNK uniforms at a time (those in cut buckets searched
+in ascending order) and a binary file straight from its payload, up to
+2^22 bits at a time, each beside the words, and rows by packing. It is
+read through its tally (SampleSet.tally): a Design, the distinct
+configurations up to the global flip as int8 columns with their counts,
+ascending by configuration index for p <= 64 and by their words, word
+0 first, above. Designs built from weights over configuration indices
+(multinomial counts, exact probabilities) have the same form, so every
+loss and second moment reads one kind of data.
 
 Sample sets travel either as text ("p n" header then one row of
 +1/-1 tokens per sample) or as a packed binary stream (magic "ISNG",
@@ -48,8 +48,17 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 _MAGIC = b"ISNG"
 
-# Rows in one pass of a draw or binary I/O: a multiple of 8, whole bytes.
-_CHUNK = 1 << 16
+# Rows in one pass of file I/O (at most) and of a draw: a draw's chunk
+# stays in a 2 MB L2 cache beside a p = 16 model's 1 MB guide table.
+_CHUNK, _DRAW_CHUNK = 1 << 16, 1 << 14
+
+
+def _io_chunks(words: np.ndarray, bits: int) -> list[np.ndarray]:
+    """words cut into I/O chunks of rows of the given bits, at most _CHUNK
+    rows and 2^22 bits each; all but the last pack to whole bytes."""
+    chunk = min(_CHUNK, max(8, (1 << 22) // bits)) & -8
+    return np.split(words, range(chunk, len(words), chunk))
+
 
 class Design(NamedTuple):
     """Weighted configurations, the data every loss and moment reads:
@@ -236,14 +245,14 @@ def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     # configuration) or flips and sorts (17 a row), then decodes each
     # distinct row twice beside its word and count (24 + 2 p).
     p = model.p
-    _check_memory(n * (8 + p) + 36 * min(n, _CHUNK)
+    _check_memory(n * (8 + p) + 36 * min(n, _DRAW_CHUNK)
                   + (24 + 2 * p) * min(n, 1 << (p - 1))
                   + (12 << p if _dense(n, p) else 17 * n),
                   f"{n} exact samples of p={p}")
     # One generator's chunks of uniforms are the stream of one call.
     rng, words = np.random.default_rng(seed), np.empty((n, 1), np.uint64)
-    for lo in range(0, n, _CHUNK):
-        u = rng.random(min(_CHUNK, n - lo))
+    for lo in range(0, n, _DRAW_CHUNK):
+        u = rng.random(min(_DRAW_CHUNK, n - lo))
         words[lo:lo + u.size, 0] = _lookup(model._cdf, model._guide, u)
     return SampleSet._of_words(p, words)
 
@@ -251,8 +260,10 @@ def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
 def _lookup(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(cdf, u, side="right") as int32 configuration
     indices, through the guide table: searched only in cut buckets."""
-    indices = guide[(u * guide.size).astype(np.int32)]
+    indices = guide.take((u * guide.size).astype(np.intp))
     cut = np.flatnonzero(indices < 0)
+    # numpy starts each of ascending searches at the last one's answer.
+    cut = cut[np.argsort(u[cut])]
     indices[cut] = np.searchsorted(cdf, u[cut], side="right")
     return indices
 
@@ -337,9 +348,9 @@ def write_samples_text(samples: SampleSet, path):
     p = samples.p
     with open(path, "wb") as fh:
         fh.write(f"{p} {samples.n}\n".encode("ascii"))
-        # Chunks keep memory flat; each spin takes three bytes.
-        for lo in range(0, samples.n, _CHUNK):
-            rows = samples.data[lo:lo + _CHUNK]
+        # Each spin takes a decoded byte and three of text.
+        for words in _io_chunks(samples.words, 32 * p):
+            rows = configurations_from_indices(words, p)
             text = np.empty((rows.shape[0], p, 3), dtype=np.uint8)
             text[:, :, 0] = ord(",") - rows  # "+" for +1, "-" for -1
             text[:, :, 1] = ord("1")
@@ -437,7 +448,7 @@ def _read_samples_text(path) -> SampleSet:
 def write_samples_binary(samples: SampleSet, path):
     with open(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<IQ", samples.p, samples.n))
-        for rows in np.split(samples.words, range(_CHUNK, samples.n, _CHUNK)):
+        for rows in _io_chunks(samples.words, samples.p):
             fh.write(_pack_words(rows, samples.p).tobytes())
 
 
@@ -459,9 +470,10 @@ def read_samples_binary(path) -> SampleSet:
             raise InputError("need n >= 1 and p >= 1")
         # Whole groups of 8 rows, so every chunk decodes whole bytes.
         words = np.empty((-(-n // 8) * 8, -(-p // 64)), dtype=np.uint64)
-        buf = np.zeros(min(len(words), _CHUNK) * p // 8 + 8 * words.shape[1],
+        chunks = _io_chunks(words, p)
+        buf = np.zeros(len(chunks[0]) * p // 8 + 8 * words.shape[1],
                        dtype=np.uint8)
-        for rows in np.split(words, range(_CHUNK, n, _CHUNK)):
+        for rows in chunks:
             fh.readinto(buf[:len(rows) * p // 8])
             _row_words(buf, p, rows)
     return SampleSet._of_words(p, words[:n])

@@ -119,9 +119,10 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
     block = max(1, _BLOCK_ENTRIES // max(len(rows), spins.shape[0]))
     for lo in range(0, spins.shape[1], block):
         c = spins[:, lo:lo + block].astype(np.float64)
-        focal = c[rows]
         e = negated @ c
-        e *= focal
+        if weights.ndim == 1:  # a table's focal vertex 0 is +1 throughout
+            focal = c[rows]
+            e *= focal
         if check:
             saturated |= risky & (np.abs(e).max(axis=1) > LINEAR_FORM_LIMIT)
             np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
@@ -130,7 +131,8 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
         # Along the contiguous axis numpy sums pairwise, which keeps the
         # rounding far below the solver's 1e-15 slack.
         values = values + e.sum(axis=1)
-        e *= focal
+        if weights.ndim == 1:
+            e *= focal
         grads = grads + e @ c.T
     values /= total
     grads /= -total
@@ -149,7 +151,7 @@ def face_hessians(design: Design, rows: np.ndarray, theta: np.ndarray,
     block = max(1, _BLOCK_ENTRIES // faces.size)
     for lo in range(0, spins.shape[1], block):
         c = spins[:, lo:lo + block].astype(np.float64)
-        e = (theta @ c) * -c[rows]
+        e = -(theta @ c) if weights.ndim == 2 else (theta @ c) * -c[rows]
         np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
         np.exp(e, out=e)
         e *= weights[stack, lo:lo + block]

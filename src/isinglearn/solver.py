@@ -234,9 +234,11 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
         while todo.size:
             at, ts = x[todo], t[todo, None]
             trial = at + ts * direction[todo]
-            trial = np.where(gradient_step[todo, None],
-                             soft_threshold(at - ts * grad[todo], ts * lam),
-                             np.where(trial * sign[todo] > 0.0, trial, 0.0))
+            trial = np.where(trial * sign[todo] > 0.0, trial, 0.0)
+            g = np.flatnonzero(gradient_step[todo])
+            if g.size:
+                trial[g] = soft_threshold(at[g] - ts[g] * grad[todo[g]],
+                                          ts[g] * lam)
             design, focal, stack = design_of(pos[todo])
             v, gr, sat = evaluate_rows(design, focal, trial, stack)
             pen = lam * np.abs(trial).sum(axis=1)
@@ -367,11 +369,10 @@ def minimize_rows(design, rows, config: SolverConfig,
             to_full[t] = (res > tol) & (counts[0, t] < cap)
 
     solutions = x[np.arange(p) != rows[:, None]].reshape(r, p - 1)
-    return [SolveReport(solutions[i], int(counts[0, i]),
-                        float(residual[i]), float(obj[i]),
-                        bool(residual[i] <= tol), bool(saturated[i]),
-                        *(int(c) for c in counts[[1, 2, 4, 3], i]))
-            for i in range(r)]
+    return [SolveReport(*fields) for fields in zip(
+        solutions, counts[0].tolist(), residual.tolist(), obj.tolist(),
+        (residual <= tol).tolist(), saturated.tolist(),
+        *counts[[1, 2, 4, 3]].tolist())]
 
 
 def minimize(view: NodeView, config: SolverConfig,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from isinglearn import (EdgeSet, GlauberConfig, InputError, IsingModel,
                         lambda_schedule, learn_structure, make_grid_model,
                         make_random_model, perfect_recovery, result_to_json,
                         sample_exact, sample_glauber, square_error)
-from isinglearn.estimator import coupling_matrix, fit_tallies
+from isinglearn.estimator import coupling_matrix, fit_tallies, report_fields
 from isinglearn.sampler import Design
 from isinglearn.solver import minimize_rows
 
@@ -260,6 +261,43 @@ def test_edges_from_estimates_validates_ordering():
         edges_from_estimates(estimates[::-1], 0.3, 3)
     with pytest.raises(InputError):
         edges_from_estimates(estimates, 0.0, 3)
+
+
+def test_coupling_matrix_refuses_a_malformed_estimate():
+    # Row u holds vertex u's p - 1 couplings around a zero diagonal; an
+    # estimate of any other shape is refused, neither broadcast nor left
+    # to numpy.
+    s = sample_exact(IsingModel(3, {(0, 1): 0.5}), 500, seed=3)
+    estimates = fit_all_nodes(s, 0.1)
+    theta = coupling_matrix(estimates, 3)
+    for est in estimates:
+        assert theta[est.u, est.u] == 0.0
+        assert np.array_equal(np.delete(theta[est.u], est.u), est.theta_hat)
+    for bad in [np.zeros(5), np.zeros((1, 2)), np.zeros(1), np.float64(0.0)]:
+        spoiled = list(estimates)
+        spoiled[1] = replace(spoiled[1], theta_hat=bad)
+        with pytest.raises(InputError, match="theta_hat"):
+            coupling_matrix(spoiled, 3)
+        with pytest.raises(InputError, match="theta_hat"):
+            edges_from_estimates(spoiled, 0.3, 3)
+
+
+def test_solve_reports_hold_python_scalars():
+    # Reports of table and full-design solves, several designs and the
+    # one-row case: every field but the solution is a Python int, float
+    # or bool, so a report serializes as it is.
+    m = make_grid_model(3, 0.7, "spin_glass", seed=1)
+    sets = [sample_exact(m, 5000, seed) for seed in (2, 3)]
+    reports = minimize_rows([s.tally for s in sets], range(m.p),
+                            SolverConfig(lam=0.05))
+    reports.append(fit_node(sets[0], 4, 0.05).report)
+    for r in reports:
+        for f in fields(r):
+            if f.name != "solution":
+                value = getattr(r, f.name)
+                assert type(value) is {"int": int, "float": float,
+                                       "bool": bool}[f.type], f.name
+        json.dumps(report_fields(r))
 
 
 def test_result_json_schema():

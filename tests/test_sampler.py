@@ -14,7 +14,7 @@ from isinglearn import (CapabilityError, GlauberConfig, InputError,
                         sample_glauber, write_samples_binary,
                         write_samples_text)
 from isinglearn import sampler as sampler_module
-from isinglearn.sampler import _CHUNK, _colour_classes, _lookup
+from isinglearn.sampler import _CHUNK, _DRAW_CHUNK, _colour_classes, _lookup
 
 
 def _config_counts(samples: SampleSet) -> np.ndarray:
@@ -358,8 +358,10 @@ def test_gapped_model_has_unreachable_configurations():
 def test_drawn_rows_are_the_inverse_cdf_rows(model, seed):
     # A draw takes its uniforms a chunk at a time from one generator;
     # they are the uniforms of one call on either side of every chunk
-    # edge.
-    for n in [1000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]:
+    # edge, of a draw's chunk and of the I/O chunk.
+    for n in [1000, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
+              2 * _DRAW_CHUNK + 7, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+              2 * _CHUNK + 7]:
         s = sample_exact(model, n, seed)
         assert s.data.dtype == np.int8
         assert np.array_equal(s.data, _old_exact_rows(model, n, seed)), n
@@ -422,6 +424,18 @@ def test_guide_lookup_is_the_cdf_search_at_its_edges(model):
     assert np.all((got.spins > 0) == ((odd[None, :] >> np.arange(
         model.p)[:, None]) & 1).astype(bool))
     assert np.array_equal(got.weights, counts * (got.total / u.size))
+
+
+@pytest.mark.parametrize("model", _DRAWN_MODELS + [_PAST_ONE],
+                         ids=["glass-3x3", "glass-4x4", "random-9", "gapped",
+                              "one-spin", "past-one"])
+def test_guide_lookup_answers_shuffled_uniforms_in_their_order(model):
+    # The lookup searches cut buckets' uniforms in ascending order, and
+    # answers each uniform in its own place.
+    u = np.random.default_rng(model.p).permutation(
+        np.tile(_edge_uniforms(model), 3))
+    got = _lookup(model._cdf, model._guide, u)
+    assert np.array_equal(got, np.searchsorted(model._cdf, u, side="right"))
 
 
 def test_exact_refusal_counts_the_lookup(monkeypatch):
@@ -487,6 +501,24 @@ def test_exact_refusal_bounds_what_a_draw_holds(tmp_path, monkeypatch):
             for peak in (drawn, read):
                 assert charge / 3 <= peak <= charge, (p, n, peak, charge)
             assert written < 1 << 20, (p, n, written)
+
+
+def test_wide_row_io_holds_its_words_and_one_chunk(tmp_path):
+    # At p = 4000 a chunk of 2^16 rows would be 32 MB packed and 786 MB
+    # of text; each pass holds at most 2^22 bits of rows, so a write or
+    # a read peaks within the set's 2 MB of words and 1 MB.
+    p, n = 4000, 4096
+    words = np.random.default_rng(p).integers(
+        0, 1 << 63, (n, -(-p // 64)), dtype=np.uint64) << np.uint64(1) | 1
+    words[:, -1] &= ~np.uint64(0) >> np.uint64(-p % 64)
+    s = SampleSet._of_words(p, words)
+    text, binary = tmp_path / "s.txt", tmp_path / "s.bin"
+    peaks = [_traced_peak(lambda: write_samples_text(s, text)),
+             _traced_peak(lambda: write_samples_binary(s, binary)),
+             _traced_peak(lambda: read_samples_binary(binary))]
+    assert max(peaks) <= words.nbytes + (1 << 20), peaks
+    assert "data" not in vars(s)
+    assert np.array_equal(read_samples_binary(binary).words, words)
 
 
 def test_binary_header_past_its_payload_allocates_nothing(tmp_path):
@@ -658,7 +690,7 @@ def _old_write_text(samples: SampleSet, path):
             fh.write("\n")
 
 
-@pytest.mark.parametrize("p", [1, 2, 9])
+@pytest.mark.parametrize("p", [1, 2, 9, 4000])
 @pytest.mark.parametrize("n", [1, 257])
 def test_text_writer_matches_the_row_loop(tmp_path, p, n):
     rng = np.random.default_rng(p + n)
