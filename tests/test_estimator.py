@@ -283,10 +283,11 @@ def test_coupling_matrix_refuses_a_malformed_estimate():
 
 
 def test_solve_reports_hold_python_scalars():
-    # Reports of table and full-design solves, several designs and the
-    # one-row case: every field but the solution is a Python int, float
-    # or bool, so a report serializes as it is.
-    m = make_grid_model(3, 0.7, "spin_glass", seed=1)
+    # Reports of two designs, their rows solved on pattern tables and
+    # certified on the full design, and the one-row case: every field
+    # but the solution is a Python int, float or bool, so a report
+    # serializes as it is.
+    m = make_grid_model(4, 0.7, "spin_glass", seed=1)
     sets = [sample_exact(m, 5000, seed) for seed in (2, 3)]
     reports = minimize_rows([s.tally for s in sets], range(m.p),
                             SolverConfig(lam=0.05))
