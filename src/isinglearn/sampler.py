@@ -295,9 +295,9 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     p = model.p
-    # The samples as rows and as words, then the chain's state, initial
-    # spins and site order.
-    _check_memory(n * (p + 8 * -(-p // 64)) + 32 * p,
+    # The rows and words, the chain's state, spins and site order, and 4
+    # arrays of a chunk's 2^15 uniforms (or one row), for logits or packing.
+    _check_memory(n * (p + 8 * -(-p // 64)) + 32 * (p + max(p, 1 << 15)),
                   f"{n} Glauber samples of p={p}")
     rng = np.random.default_rng(config.seed)
     spins = rng.integers(0, 2, size=p) * 2 - 1
@@ -329,7 +329,9 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
     for start in range(0, total, chunk):
         u = rng.random((min(chunk, total - start), p))
         with np.errstate(divide="ignore"):  # logit(0) = -inf
-            logits = (np.log(u) - np.log1p(-u))[:, order]
+            logits = np.log(u)
+            logits -= np.log1p(np.negative(u, out=u), out=u)
+        logits = logits[:, order]
         # copysign never gives 0 (np.sign would, at a tie), and takes an
         # array of ones faster than the scalar 1.
         blocks = [(state[c], where, weight, logits[:, c],
@@ -341,6 +343,7 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
             after = start + s + 1 - burn_in
             if after > 0 and after % thin == 0:
                 out[after // thin - 1] = state[at]
+        del u, logits, blocks, logit  # before the next chunk's, the words
     return SampleSet(p, n, out)
 
 
@@ -363,8 +366,9 @@ def write_samples_text(samples: SampleSet, path):
 _BLANK = np.zeros(256, dtype=bool)
 _BLANK[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
-# Tokens in each numpy pass of _parse_rows, for rows of p tokens.
-_TEXT_ENTRIES = 1 << 18
+# Tokens in each numpy pass of _parse_rows, for rows of p tokens, and
+# bytes in each pass of the line-end search: about 2 MB of temporaries.
+_TEXT_ENTRIES = 1 << 15
 
 
 def _parse_rows(chars, ends, p: int, n: int) -> np.ndarray:
@@ -411,37 +415,37 @@ def _parse_rows(chars, ends, p: int, n: int) -> np.ndarray:
 
 
 def read_samples_text(path) -> SampleSet:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii():
+        raise InputError("sample text is not ASCII")
+    size = len(raw)
+    if b"\r" in raw:  # the line ends text mode reads as "\n"
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = raw.find(b"\n") + 1 or len(raw)
+    header = raw[:start].decode("ascii").split()
+    if len(header) != 2:
+        raise InputError("sample text header must be 'p n'")
     try:
-        return _read_samples_text(path)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"sample text is not ASCII: {exc}") from exc
-
-
-def _read_samples_text(path) -> SampleSet:
-    with open(path, "r", encoding="ascii") as fh:
-        header_line = fh.readline()
-        header = header_line.split()
-        if len(header) != 2:
-            raise InputError("sample text header must be 'p n'")
-        try:
-            p, n = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise InputError("sample text header must be 'p n'") from exc
-        if p < 1 or n < 1:
-            raise InputError(f"sample text header needs p >= 1 and n >= 1, "
-                             f"got p={p}, n={n}")
-        # The shortest row is p one-character tokens ("1"), each followed
-        # by a separator or the newline, which the last row may omit.
-        body = os.fstat(fh.fileno()).st_size - len(header_line)
-        if body < 2 * p * n - 1:
-            raise InputError(f"sample text header declares {n} rows of {p} "
-                             f"spins, but only {body} bytes follow it")
-        # Text mode has turned every line end into "\n".
-        chars = np.frombuffer(fh.read().encode("ascii"), dtype=np.uint8)
-    ends = np.flatnonzero(chars == ord("\n"))
+        p, n = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise InputError("sample text header must be 'p n'") from exc
+    if p < 1 or n < 1:
+        raise InputError(f"sample text header needs p >= 1 and n >= 1, "
+                         f"got p={p}, n={n}")
+    # The shortest row is p one-character tokens ("1"), each followed by
+    # a separator or the newline, which the last row may omit.
+    if size - start < 2 * p * n - 1:
+        raise InputError(f"sample text header declares {n} rows of {p} "
+                         f"spins, but only {size - start} bytes follow it")
+    chars = np.frombuffer(raw, dtype=np.uint8)[start:]
+    ends = np.concatenate([np.flatnonzero(chars[lo:lo + _TEXT_ENTRIES] == 10)
+                           + lo for lo in range(0, chars.size, _TEXT_ENTRIES)]
+                          or [np.empty(0, dtype=np.intp)])
     data = _parse_rows(chars, ends, p, n)
     if ends.size >= n and not _BLANK[chars[ends[n - 1]:]].all():
         raise InputError(f"sample text has rows after the {n} its header declares")
+    del raw, chars  # the file goes before the words are packed
     return SampleSet(p, n, data)
 
 

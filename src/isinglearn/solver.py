@@ -50,18 +50,21 @@ Celer, Massias, Gramfort & Salmon 2018). The l1 penalty leaves most of a
 row's coordinates at exactly 0, and at a theta supported on a set W the
 loss, and its gradient on W, read the data only through the weight of
 each sign pattern of sigma_u * sigma_W: the row's
-screening.pattern_table, 2^|W| columns whatever the sample. After one
-full pass over the design, each uncertified row's W is its support,
-after the first round every coordinate that violates the optimality
-system too, and then its largest |gradient| entries up to _WORKING_SET;
-the rows are solved by the same loop on their tables, from their
+screening.pattern_table, 2^|W| columns whatever the sample. After a full
+pass over the design, each uncertified row's W is its support, then its
+largest |gradient| entries, so violators come first. A round's sets
+share one width: enough for each row's support and, after the first
+round, its violators, at least _WORKING_SET, and at most the widest
+table smaller than each row's design (and _WORKING_SET_CAP). The rows
+are solved by the same loop on their tables in one call, from their
 support, and a new full pass certifies them or starts another round. A
-row is solved on the full design, from the full pass, when its table
-would be no smaller than the design (always, for at most 2^_WORKING_SET
-configurations) or its W wider than _WORKING_SET_CAP, or when it stalls
-on its table. Each report counts table and full-design work together
-(iterations, evaluations, backtracks, stalls), and max_iterations caps a
-row's total; restarts counts the far-start restarts. Convergence is
+row is solved on the full design, from a full pass, when its support
+does not fit, when its design has at most 2^_WORKING_SET
+configurations, when it stalled on its table, or when its W was capped
+and that pass does not certify it: a capped row could cycle otherwise.
+Each report counts table and full-design work together (iterations,
+evaluations, backtracks, stalls), and max_iterations caps a row's
+total; restarts counts the far-start restarts. Convergence is
 declared per row on the optimality residual (kkt_residual below) of the
 full gradient, not on objective or iterate drift.
 """
@@ -208,8 +211,9 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
         sign = np.where(on, np.sign(x), -np.sign(grad)) * face
         k = face.sum(axis=1).max(initial=1)
         cols = np.argsort(~face, axis=1, kind="stable")[:, :k]
-        inside = np.take_along_axis(face, cols, axis=1)
-        rhs = -np.take_along_axis(grad + lam * sign, cols, axis=1) * inside
+        at = np.arange(pos.size)[:, None]
+        inside = face[at, cols]
+        rhs = -(grad[at, cols] + lam * sign[at, cols]) * inside
         direction = np.zeros_like(x)
         chunk = max(1, _HESSIAN_ENTRIES // (k * k))
         for c in (slice(lo, lo + chunk) for lo in range(0, pos.size, chunk)):
@@ -217,9 +221,8 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
             hess = face_hessians(design, focal, x[c], cols[c], stack)
             system = np.where(inside[c, :, None] & inside[c, None, :], hess,
                               np.eye(k))
-            np.put_along_axis(direction[c], cols[c],
-                              _newton_steps(system, rhs[c], residual[c]),
-                              axis=1)
+            direction[at[c], cols[c]] = _newton_steps(system, rhs[c],
+                                                      residual[c])
         gradient_step = ~np.isfinite(direction).all(axis=1)
         t = np.where(gradient_step, 1.0 / value, 1.0)
 
@@ -248,9 +251,10 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
             change = v + pen - obj[todo]
             ok = ((change <= np.minimum(0.25 * promised, 0.0) - slack[todo])
                   | ((np.abs(change) <= slack[todo]) & (res < residual[todo])))
+            took = todo[ok]
             for arr, val in zip(new, (trial, v, gr, v + pen, res)):
-                arr[todo[ok]] = val[ok]
-            new[5][todo[ok]] |= sat[ok]
+                arr[took] = val[ok]
+            new[5][took] |= sat[ok]
             todo = todo[~ok]
             t[todo] *= 0.5
             halvings[todo] += 1
@@ -294,12 +298,14 @@ def minimize_rows(design, rows, config: SolverConfig,
     # One solve row per design and focal vertex, design-major.
     of = np.repeat(np.arange(nd), each)
     x, rows, r = np.tile(x, (nd, 1)), np.tile(rows, nd), of.size
-    m = np.array([d.spins.shape[1] for d in designs])[of]
+    # Each row's widest table: fewer columns than its design has rows.
+    widest = np.minimum(_WORKING_SET_CAP, np.frexp(
+        [d.spins.shape[1] - 1 for d in designs])[1] - 1)[of]
     value, obj, residual = np.empty((3, r))
     grad, saturated = np.empty((r, p)), np.zeros(r, dtype=bool)
     # Per-row iterations, evaluations, backtracks, stalls and restarts.
     counts = np.zeros((5, r), dtype=np.int64)
-    # Rows that stalled on a table finish on the full design.
+    # Rows that finish on the full design.
     to_full = np.zeros(r, dtype=bool)
 
     def full_pass(i):
@@ -324,17 +330,20 @@ def minimize_rows(design, rows, config: SolverConfig,
         live = live[(residual[live] > tol) & (counts[0, live] < cap)]
         if live.size == 0:
             break
-        # Each row's working set: its support, after the first round
-        # every coordinate that violates, then the largest |gradient|
-        # entries up to _WORKING_SET.
+        # Each row's working set: its support, then its largest |gradient|
+        # entries, so violators come first. A round's sets share one
+        # width: the widest need (after the first round violators count),
+        # at least _WORKING_SET, at most the narrowest widest table.
         g = np.abs(grad[live])
-        must = x[live] != 0.0
-        if not first:
-            must |= g - lam > tol
-        first = False
-        sizes = np.maximum(must.sum(axis=1), _WORKING_SET)
-        full = (to_full[live] | (np.exp2(sizes) >= m[live])
-                | (sizes > _WORKING_SET_CAP))
+        on = x[live] != 0.0
+        need = np.maximum((on | ((g - lam > tol) & (not first))).sum(1),
+                          _WORKING_SET)
+        first, support = False, on.sum(axis=1)
+        full = to_full[live] | (widest[live] < np.maximum(support,
+                                                         _WORKING_SET))
+        if not full.all():
+            k = min(need[~full].max(), widest[live[~full]].min())
+            full |= support > k
         for d in np.unique(of[live[full]]):
             f = live[full & (of[live] == d)]
             x[f], obj[f], residual[f], saturated[f], run = _newton(
@@ -344,29 +353,26 @@ def minimize_rows(design, rows, config: SolverConfig,
         live = live[~full]
         if live.size == 0:
             break
-        g, must, sizes = g[~full], must[~full], sizes[~full]
+        g, on, capped = g[~full], on[~full], need[~full] > k
         g[np.arange(live.size), rows[live]] = -1.0
-        order = np.argsort(np.where(must, -np.inf, -g), axis=1, kind="stable")
-        work = np.zeros_like(must)
-        np.put_along_axis(work, order, np.arange(p) < sizes[:, None], axis=1)
-        # Solve each group of rows whose sets share a size on one pattern
-        # design with per-row weights, from the last full pass.
-        for k in np.unique(sizes):
-            grp = sizes == k
-            t = live[grp]
-            cols = np.nonzero(work[grp])[1].reshape(-1, k)
-            table = pattern_table([designs[d] for d in of[t]], rows[t], cols)
-            start, start_grad = np.zeros((2, t.size, k + 1))
-            start[:, 1:] = x[t[:, None], cols]
-            start_grad[:, 1:] = grad[t[:, None], cols]
-            sol, _, res, saturated[t], run = _newton(
-                lambda i: (table, np.zeros(len(i), dtype=np.int64), i),
-                start, value[t], start_grad, saturated[t], lam, tol,
-                cap - counts[0, t])
-            x[t] = 0.0
-            x[t[:, None], cols] = sol[:, 1:]
-            counts[:4, t] += run
-            to_full[t] = (res > tol) & (counts[0, t] < cap)
+        order = np.argsort(np.where(on, -np.inf, -g), axis=1, kind="stable")
+        cols = np.sort(order[:, :k], axis=1)
+        # One pattern design with per-row weights, from the last full
+        # pass. A row that stalls on it, or whose set was capped, finishes
+        # on the full design unless the next full pass certifies it.
+        table = pattern_table([designs[d] for d in of[live]], rows[live],
+                              cols)
+        start, start_grad = np.zeros((2, live.size, k + 1))
+        start[:, 1:] = x[live[:, None], cols]
+        start_grad[:, 1:] = grad[live[:, None], cols]
+        sol, _, res, saturated[live], run = _newton(
+            lambda i: (table, np.zeros(len(i), dtype=np.int64), i),
+            start, value[live], start_grad, saturated[live], lam, tol,
+            cap - counts[0, live])
+        x[live] = 0.0
+        x[live[:, None], cols] = sol[:, 1:]
+        counts[:4, live] += run
+        to_full[live] = capped | ((res > tol) & (counts[0, live] < cap))
 
     solutions = x[np.arange(p) != rows[:, None]].reshape(r, p - 1)
     return [SolveReport(*fields) for fields in zip(

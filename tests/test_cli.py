@@ -244,6 +244,34 @@ def test_non_ascii_sample_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    b"2\xa01 1\n+1 1\n",  # in the header
+    b"2 1\n+1 1\n\xe9",  # past the rows
+])
+def test_non_ascii_anywhere_in_sample_text_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "samples.txt"
+    path.write_bytes(text)
+    assert main(["learn", "--samples", str(path), "--threshold", "0.5"]) == 2
+    assert "not ASCII" in capsys.readouterr().err
+
+
+def test_sample_text_line_ends_read_alike(tmp_path):
+    # "\r\n" and a lone "\r" end a line as "\n" does, the header's too:
+    # one lambda, one tally, one fit.
+    results = []
+    for end in ["\n", "\r\n", "\r"]:
+        path, out = tmp_path / "samples.txt", tmp_path / "result.json"
+        path.write_bytes(end.join(["3 2", "+1 -1 +1", "-1 -1 1", ""]).encode())
+        assert main(["learn", "--samples", str(path), "--threshold", "0.5",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        del doc["stages"]  # timings
+        results.append(doc)
+        assert read_samples_text(path).data.tolist() == [[1, -1, 1],
+                                                         [-1, -1, 1]]
+    assert results[0] == results[1] == results[2]
+
+
 def test_non_ascii_model_and_manifest_exit_2(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_bytes(b'{"p": 2, "edges": [], "note": "\xff"}')

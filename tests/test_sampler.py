@@ -519,6 +519,11 @@ def test_wide_row_io_holds_its_words_and_one_chunk(tmp_path):
     assert max(peaks) <= words.nbytes + (1 << 20), peaks
     assert "data" not in vars(s)
     assert np.array_equal(read_samples_binary(binary).words, words)
+    # The text reader holds the 49 MB file once, beside the rows it
+    # parses into and their words.
+    read = _traced_peak(lambda: read_samples_text(text))
+    assert read <= text.stat().st_size + n * p + words.nbytes + (1 << 20)
+    assert np.array_equal(read_samples_text(text).words, words)
 
 
 def test_binary_header_past_its_payload_allocates_nothing(tmp_path):
@@ -538,18 +543,34 @@ def test_binary_header_past_its_payload_allocates_nothing(tmp_path):
 
 
 def test_glauber_refusal_counts_the_words(monkeypatch):
-    # Each row's p spins and its W words, then 32 bytes a site for the
-    # chain.
+    # Each row's p spins and its W words, 32 bytes a site for the chain,
+    # and 4 arrays of a chunk's 2^15 uniforms.
     n = 1000
     pages = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     config = GlauberConfig(seed=0, burn_in_sweeps=0, thinning_sweeps=1)
     for p, w in [(9, 1), (64, 1), (65, 2), (130, 3)]:
-        pages["SC_PHYS_PAGES"] = n * (p + 8 * w) + 32 * p - 1
+        pages["SC_PHYS_PAGES"] = n * (p + 8 * w) + 32 * p + (1 << 20) - 1
         with pytest.raises(CapabilityError, match="physical memory"):
             sample_glauber(IsingModel(p, {}), n, config)
-    pages["SC_PHYS_PAGES"] = n * (65 + 8 * 2) + 32 * 65
+    pages["SC_PHYS_PAGES"] = n * (65 + 8 * 2) + 32 * 65 + (1 << 20)
     assert sample_glauber(IsingModel(65, {}), n, config).words.shape == (n, 2)
+
+
+def test_glauber_refusal_bounds_what_a_chain_holds(monkeypatch):
+    # The charge bounds the peak of a chain with its rows and words, and
+    # is within 3 times it: a 2^11-row chain fills its 2^15-uniform
+    # chunks from p = 65 on, and at p = 9 holds 2^11 sweeps' uniforms.
+    charges = []
+    monkeypatch.setattr(sampler_module, "_check_memory",
+                        lambda nbytes, what: charges.append(nbytes))
+    config = GlauberConfig(seed=0, burn_in_sweeps=0, thinning_sweeps=1)
+    n = 1 << 11
+    sample_glauber(IsingModel(9, {}), 8, config)  # imports before tracing
+    for p in [9, 65, 130]:
+        model = IsingModel(p, {})
+        peak = _traced_peak(lambda: sample_glauber(model, n, config).data)
+        assert peak <= charges[-1] <= 3 * peak, (p, peak, charges[-1])
 
 
 def test_exact_draws_enumerate_a_model_once(enumerations):

@@ -370,3 +370,70 @@ def test_many_wide_rows_batch_their_newton_systems(monkeypatch):
                for r in reports)
     assert sum(rows for rows, _ in batches) >= 2 * s.p
     assert all(rows * k * k <= 1 << 13 and k < s.p for rows, k in batches)
+
+
+def _glass_samples(beta):
+    # At beta = 0.9 the p = 16 glass of test_estimator.py: 1145 distinct
+    # rows, so a table holds at most 10 coordinates.
+    return sample_exact(make_grid_model(4, beta, "spin_glass", seed=5), 30000,
+                        seed=49)
+
+
+def test_each_round_solves_its_table_rows_in_one_call(monkeypatch,
+                                                      full_passes,
+                                                      table_builds):
+    # After the first round some rows need 10 or more coordinates. Their
+    # sets are capped at the widest table, 10, and every table row of a
+    # round shares that width: each outer round builds one table and
+    # makes one Newton call on it, and full passes only certify.
+    s = _glass_samples(0.9)
+    cfg = SolverConfig(lam=lambda_schedule(16, 30000, 0.05),
+                       kkt_tolerance=1e-8)
+    tables = []
+    newton = solver._newton
+
+    def recording(design_of, *args):
+        tables.append(design_of(np.arange(1))[0].weights.ndim == 2)
+        return newton(design_of, *args)
+
+    monkeypatch.setattr(solver, "_newton", recording)
+    reports = minimize_rows(s.tally, range(16), cfg)
+    _certified_on_a_full_pass(s, reports, cfg)
+    rounds = len(full_passes) - 1
+    assert rounds >= 2 and all(tables)
+    assert len(tables) == len(table_builds) == rounds
+    assert not any(c.hessian for c in full_passes)
+    assert max(k for _, k in table_builds) > solver._WORKING_SET
+    full = _full_design_solve(monkeypatch, s, cfg)
+    for a, b in zip(reports, full):
+        np.testing.assert_array_equal(a.solution != 0, b.solution != 0)
+        np.testing.assert_allclose(a.solution, b.solution, atol=1e-5)
+
+
+def test_designs_whose_widest_tables_differ_solve_together(monkeypatch):
+    # Two tallies of 30000 draws with 1145 and 832 distinct rows, either
+    # side of 2^10: solved in one call, no table is as wide as a design
+    # it is built from (the 1145-row design's rows, which alone take
+    # 10-wide tables, are capped at 9 with the other's), and each
+    # design's reports agree with its solve alone.
+    designs = [_glass_samples(beta).tally for beta in (0.9, 1.0)]
+    assert [d.spins.shape[1] for d in designs] == [1145, 832]
+    cfg = SolverConfig(lam=lambda_schedule(16, 30000, 0.05),
+                       kkt_tolerance=1e-8)
+    widths = []
+    pattern_table = solver.pattern_table
+
+    def recording(design, rows, cols):
+        widths.extend((d.spins.shape[1], cols.shape[1]) for d in design)
+        return pattern_table(design, rows, cols)
+
+    monkeypatch.setattr(solver, "pattern_table", recording)
+    both = minimize_rows(designs, range(16), cfg)
+    assert {m for m, _ in widths} == {1145, 832}
+    assert all(1 << k < m for m, k in widths)
+    assert max(k for _, k in widths) == 9
+    for d, together in zip(designs, (both[:16], both[16:])):
+        for a, b in zip(together, minimize_rows(d, range(16), cfg)):
+            assert a.converged and b.converged
+            np.testing.assert_allclose(a.solution, b.solution, rtol=0,
+                                       atol=cfg.kkt_tolerance)
