@@ -419,10 +419,15 @@ def read_samples_text(path) -> SampleSet:
         raw = fh.read()
     if not raw.isascii():
         raise InputError("sample text is not ASCII")
-    size = len(raw)
-    if b"\r" in raw:  # the line ends text mode reads as "\n"
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    start = raw.find(b"\n") + 1 or len(raw)
+    size, chars = len(raw), np.frombuffer(raw, dtype=np.uint8)
+    # Text mode's line ends: each "\n", and each CR not before one.
+    ends = np.concatenate([lo + np.flatnonzero((seg == 10) | (seg == 13))
+                           for lo in range(0, size, _TEXT_ENTRIES)
+                           for seg in [chars[lo:lo + _TEXT_ENTRIES]]]
+                          or [np.empty(0, dtype=np.intp)])
+    lone = chars[np.minimum(ends + 1, size - 1)] != 10
+    ends = ends[(chars[ends] == 10) | lone]
+    start = int(ends[0]) + 1 if ends.size else size
     header = raw[:start].decode("ascii").split()
     if len(header) != 2:
         raise InputError("sample text header must be 'p n'")
@@ -438,10 +443,7 @@ def read_samples_text(path) -> SampleSet:
     if size - start < 2 * p * n - 1:
         raise InputError(f"sample text header declares {n} rows of {p} "
                          f"spins, but only {size - start} bytes follow it")
-    chars = np.frombuffer(raw, dtype=np.uint8)[start:]
-    ends = np.concatenate([np.flatnonzero(chars[lo:lo + _TEXT_ENTRIES] == 10)
-                           + lo for lo in range(0, chars.size, _TEXT_ENTRIES)]
-                          or [np.empty(0, dtype=np.intp)])
+    chars, ends = chars[start:], ends[1:] - start
     data = _parse_rows(chars, ends, p, n)
     if ends.size >= n and not _BLANK[chars[ends[n - 1]:]].all():
         raise InputError(f"sample text has rows after the {n} its header declares")

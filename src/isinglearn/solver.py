@@ -12,18 +12,19 @@ H_AA d = -(g_A + lam s_A) with the loss's exact Hessian on the face at
 the iterate (screening.face_hessians), plus the row's residual on the
 diagonal where H_AA is singular (the regularized Newton step of Li,
 Fukushima, Qi & Yamashita 2004: equal columns, fewer distinct
-configurations than coordinates), and its trial is theta + t d
-projected onto the face's orthant (a coordinate that would cross 0
-stops at 0), t = 1 halved until the line search accepts. A row whose
-system is still singular or not finite (a clamped row), or whose Newton
-line search runs out, takes the soft-thresholded gradient step, from
-t = 1 / S_u, instead. A trial is accepted when its composite objective
-falls by a quarter of what its linear model promises (Armijo) and by
-more than float resolution (one part in 1e15), or stays within it and
-lowers the optimality residual, which is what still improves near the
-minimum. A row whose gradient step's line search runs out too
-(_LINE_SEARCH halvings), or whose accepted trial is its iterate itself,
-stalls and finishes.
+configurations than coordinates). A zero of A whose d leaves its sign
+leaves A, and the system is solved again, same Hessian, until none does
+(the sign-consistent l1 step). The trial is theta + t d (a coordinate
+crossing 0 stops at 0), t = 1 halved until the line search accepts, a
+safeguard these steps seldom need. A row whose system is still singular
+or not finite (a clamped row), or whose Newton search runs out, takes
+the soft-thresholded gradient step, from t = 1 / S_u, instead. A trial
+is accepted when its composite objective falls by a quarter of what its
+linear model promises (Armijo) and by more than float resolution (one
+part in 1e15), or stays within it and lowers the optimality residual,
+which is what still improves near the minimum. A row whose gradient
+step's search runs out too (_LINE_SEARCH halvings), or whose accepted
+trial is its iterate itself, stalls and finishes.
 
 The starting point is the origin, which makes the fully-penalized
 regime exact: the gradient at 0 is an average of +/-1 rows, so
@@ -167,18 +168,31 @@ def _newton_steps(system, rhs, damping) -> np.ndarray:
         return _newton_steps(system + damping * np.eye(len(rhs[0])), rhs, None)
 
 
+def _face_steps(hess, inside, rhs, zeros, damping) -> np.ndarray:
+    """_newton_steps on each row's face (inside), again without each face
+    zero whose step leaves its sign (in zeros, else 0) until none does."""
+    while True:
+        step = _newton_steps(np.where(inside[:, :, None] & inside[:, None, :],
+                                      hess, np.eye(inside.shape[1])),
+                             rhs * inside, damping)
+        leave = step * zeros < 0.0
+        if not leave.any():
+            return step
+        inside = inside & ~leave
+
+
 # Once a solve: a far trial (an overflowing l1 norm or linear form, or
 # a step 1 / S_u with S_u = 0) is not finite and fails the line search.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
             budget: np.ndarray):
-    """Run the scheme of the module docstring on r rows at once from
-    the starts x, with their values and gradients; design_of(i) gives
-    the design, focal vertices and weight stack of the rows i. budget
-    caps each row's iterations. Returns each row's last accepted iterate,
-    objective, residual and saturation flag, and a 4 x r array of its
-    iterations, evaluations (its start's not counted), backtracks and
-    stalls."""
+    """Run the scheme of the module docstring (each round's steps by
+    _face_steps) on r rows at once from the starts x, with their values
+    and gradients; design_of(i) gives the design, focal vertices and
+    weight stack of the rows i. budget caps each row's iterations.
+    Returns each row's last accepted iterate, objective, residual and
+    saturation flag, and a 4 x r array of its iterations, evaluations
+    (its start's not counted), backtracks and stalls."""
     r, p = x.shape
     obj = value + lam * np.abs(x).sum(axis=1)
     residual = _kkt_rows(grad, x, lam)
@@ -213,16 +227,15 @@ def _newton(design_of, x, value, grad, saturated, lam: float, tol: float,
         cols = np.argsort(~face, axis=1, kind="stable")[:, :k]
         at = np.arange(pos.size)[:, None]
         inside = face[at, cols]
-        rhs = -(grad[at, cols] + lam * sign[at, cols]) * inside
+        rhs = -(grad[at, cols] + lam * sign[at, cols])
+        zeros = np.where(on, 0.0, sign)[at, cols]
         direction = np.zeros_like(x)
         chunk = max(1, _HESSIAN_ENTRIES // (k * k))
         for c in (slice(lo, lo + chunk) for lo in range(0, pos.size, chunk)):
             design, focal, stack = design_of(pos[c])
             hess = face_hessians(design, focal, x[c], cols[c], stack)
-            system = np.where(inside[c, :, None] & inside[c, None, :], hess,
-                              np.eye(k))
-            direction[at[c], cols[c]] = _newton_steps(system, rhs[c],
-                                                      residual[c])
+            direction[at[c], cols[c]] = _face_steps(hess, inside[c], rhs[c],
+                                                    zeros[c], residual[c])
         gradient_step = ~np.isfinite(direction).all(axis=1)
         t = np.where(gradient_step, 1.0 / value, 1.0)
 

@@ -520,10 +520,13 @@ def test_wide_row_io_holds_its_words_and_one_chunk(tmp_path):
     assert "data" not in vars(s)
     assert np.array_equal(read_samples_binary(binary).words, words)
     # The text reader holds the 49 MB file once, beside the rows it
-    # parses into and their words.
-    read = _traced_peak(lambda: read_samples_text(text))
-    assert read <= text.stat().st_size + n * p + words.nbytes + (1 << 20)
-    assert np.array_equal(read_samples_text(text).words, words)
+    # parses into and their words, with CRLF and lone-CR line ends too.
+    lf = text.read_bytes()
+    for end in [b"\n", b"\r\n", b"\r"]:
+        text.write_bytes(lf.replace(b"\n", end))
+        read = _traced_peak(lambda: read_samples_text(text))
+        assert read <= text.stat().st_size + n * p + words.nbytes + (1 << 20)
+        assert np.array_equal(read_samples_text(text).words, words)
 
 
 def test_binary_header_past_its_payload_allocates_nothing(tmp_path):
