@@ -107,19 +107,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--epsilon", type=float, default=0.1)
     ver.add_argument("--out", default=None, help="default: stdout")
 
-    nmn = sub.add_parser("nmin", help="minimal sample size search")
-    nmn.add_argument("--manifest", required=True,
-                     help="JSON file of ExperimentManifest fields")
-    nmn.add_argument("--out", default=None, help="override manifest.out")
-    nmn.add_argument("--trials", type=int, default=None,
-                     help="override manifest.trials")
-
-    err = sub.add_parser("error-curve", help="coupling error vs sample size")
-    err.add_argument("--manifest", required=True)
-    err.add_argument("--out", default=None)
-    err.add_argument("--trials", type=int, default=None)
+    for name, what in (("nmin", "minimal sample size search"),
+                       ("error-curve", "coupling error vs sample size")):
+        exp = sub.add_parser(name, help=what)
+        exp.add_argument("--manifest", required=True,
+                         help="JSON file of ExperimentManifest fields")
+        exp.add_argument("--out", default=None, help="override manifest.out")
+        exp.add_argument("--trials", type=int, default=None,
+                         help="override manifest.trials")
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _read_samples(path: str):
@@ -271,8 +271,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # numpy's generators refuse negative seeds with a bare ValueError.
         if getattr(args, "seed", None) is not None and args.seed < 0:

@@ -22,7 +22,8 @@ starts its fits from trial 0's coupling matrix at the candidate before
 it, and a width's first candidate starts from 0.
 
 run_error_curve fits every node at each listed n with the node-mode
-penalty schedule and reports the mean l2 coupling error.
+penalty schedule and reports the mean l2 coupling error. Its trials'
+tallies are fitted from 0 in the same batches as a candidate's.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .solver import SolverConfig
 
 NMIN_CSV_HEADER = "param,n_min,trials,success,seed,wall_seconds"
 ERROR_CSV_HEADER = "n,mean_error,trials,seed,wall_seconds"
-_BATCH_BYTES = 1 << 21  # tally bytes one batch of n_min trials holds
+_BATCH_BYTES = 1 << 21  # tally bytes one batch of trials holds
+_CELL_FORMATS = {"param": ".17g", "mean_error": ".17g", "wall_seconds": ".3f"}
 # Element types that seed, sides, betas and ns refuse.
 _NOT_NUMBERS = frozenset((bool, str))
 
@@ -56,8 +58,8 @@ class ExperimentManifest:
     kind "nmin_vs_p" sweeps grid sides at fixed coupling magnitude
     (param column = p); "nmin_vs_beta" sweeps coupling magnitudes at a
     fixed side (param column = beta); "error_vs_n" sweeps the sample
-    sizes in ns on one fixed model, its trials in turn, each fitted
-    from 0.
+    sizes in ns on one fixed model, its trials fitted from 0 in
+    batches of tallies, as the minimal-n search fits a candidate's.
     """
 
     kind: str
@@ -149,11 +151,9 @@ def _check_run_fields(manifest: ExperimentManifest):
                          f"got {manifest.out!r}")
 
 
-def _derived_seed(root: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=root, spawn_key=tuple(key))
-
-
-def _seed_int(ss: np.random.SeedSequence) -> int:
+def _seed(root: int, *key: int) -> int:
+    """The integer seed of SeedSequence(root)'s spawn at key."""
+    ss = np.random.SeedSequence(entropy=root, spawn_key=key)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -161,13 +161,13 @@ def _model_for(manifest: ExperimentManifest, param_index: int, side: int,
                beta: float) -> IsingModel:
     if manifest.family == "ferromagnet":
         return make_grid_model(side, beta, "ferromagnet")
-    model_seed = _seed_int(_derived_seed(manifest.seed, 0, param_index))
-    return make_grid_model(side, beta, "spin_glass", seed=model_seed)
+    return make_grid_model(side, beta, "spin_glass",
+                           seed=_seed(manifest.seed, 0, param_index))
 
 
 def _sample(manifest: ExperimentManifest, model: IsingModel, n: int,
             *key: int):
-    seed = _seed_int(_derived_seed(manifest.seed, *key))
+    seed = _seed(manifest.seed, *key)
     if manifest.sampler == "exact":
         return sample_exact(model, n, seed)
     cfg = GlauberConfig(seed=seed, burn_in_sweeps=manifest.burn_in_sweeps,
@@ -246,41 +246,47 @@ def _search_nmin(manifest: ExperimentManifest, model: IsingModel,
             n = (lo + hi) // 2
 
 
+def _sweep(manifest: ExperimentManifest, swept: str, header: str,
+           run) -> list[dict]:
+    """One row per value of the manifest's nonempty list field swept:
+    run(index, value)'s columns, then trials, seed and the wall seconds
+    of its call. Writes the rows, cells formatted by column, as CSV to
+    manifest.out when set."""
+    values = getattr(manifest, swept)
+    if not values:
+        raise InputError(f"{manifest.kind} needs a nonempty {swept} list")
+    rows = []
+    for idx, value in enumerate(values):
+        t0 = time.perf_counter()
+        row = run(idx, value)
+        rows.append({**row, "trials": manifest.trials, "seed": manifest.seed,
+                     "wall_seconds": time.perf_counter() - t0})
+    if manifest.out:
+        # Floats round-trip, bools read true/false.
+        write_rows_csv(manifest.out, header, [
+            [format(r[col], _CELL_FORMATS.get(col, "")).lower()
+             for col in header.split(",")] for r in rows])
+    return rows
+
+
 def run_nmin_search(manifest: ExperimentManifest) -> list[dict]:
     """Execute an nmin manifest; returns one row dict per swept value
     and writes CSV to manifest.out when set."""
     _check_run_fields(manifest)
-    if manifest.kind == "nmin_vs_p":
-        if not manifest.sides:
-            raise InputError("nmin_vs_p needs a nonempty sides list")
-        sweep = [(side, manifest.beta, float(side * side))
-                 for side in manifest.sides]
-    elif manifest.kind == "nmin_vs_beta":
-        if not manifest.betas:
-            raise InputError("nmin_vs_beta needs a nonempty betas list")
-        sweep = [(manifest.side, b, b) for b in manifest.betas]
-    else:
+    if manifest.kind not in ("nmin_vs_p", "nmin_vs_beta"):
         raise InputError(f"run_nmin_search cannot run kind {manifest.kind!r}")
-    rows = []
-    for idx, (side, beta, param) in enumerate(sweep):
-        t0 = time.perf_counter()
-        model = _model_for(manifest, idx, side, beta)
-        n_min, resolved = _search_nmin(manifest, model, idx)
-        rows.append({
-            "param": param,
-            "n_min": int(n_min),
-            "trials": manifest.trials,
-            "success": resolved,
-            "seed": manifest.seed,
-            "wall_seconds": time.perf_counter() - t0,
-        })
-    if manifest.out:
-        write_rows_csv(manifest.out, NMIN_CSV_HEADER, [
-            [format(r["param"], ".17g"), r["n_min"], r["trials"],
-             str(r["success"]).lower(), r["seed"], f"{r['wall_seconds']:.3f}"]
-            for r in rows
-        ])
-    return rows
+    by_side = manifest.kind == "nmin_vs_p"
+
+    def search(idx, value):
+        side, beta = ((value, manifest.beta) if by_side
+                      else (manifest.side, value))
+        n_min, resolved = _search_nmin(
+            manifest, _model_for(manifest, idx, side, beta), idx)
+        return {"param": float(side * side) if by_side else beta,
+                "n_min": int(n_min), "success": resolved}
+
+    return _sweep(manifest, "sides" if by_side else "betas", NMIN_CSV_HEADER,
+                  search)
 
 
 def run_error_curve(manifest: ExperimentManifest) -> list[dict]:
@@ -289,34 +295,20 @@ def run_error_curve(manifest: ExperimentManifest) -> list[dict]:
     _check_run_fields(manifest)
     if manifest.kind != "error_vs_n":
         raise InputError(f"run_error_curve cannot run kind {manifest.kind!r}")
-    if not manifest.ns:
-        raise InputError("error_vs_n needs a nonempty ns list")
     model = _model_for(manifest, 0, manifest.side, manifest.beta)
     config = _solver_config(manifest)
-    rows = []
-    for idx, n in enumerate(manifest.ns):
-        t0 = time.perf_counter()
+
+    def mean_error(idx, n):
         lam = lambda_schedule(model.p, n, manifest.epsilon, mode="node")
-        errors = []
-        for t in range(manifest.trials):
-            estimates = fit_all_nodes(_sample(manifest, model, n, 2, idx, t),
-                                      lam, config)
-            errors.extend(square_error(est.theta_hat, model, est.u)
-                          for est in estimates)
-        rows.append({
-            "n": n,
-            "mean_error": float(np.mean(errors)),
-            "trials": manifest.trials,
-            "seed": manifest.seed,
-            "wall_seconds": time.perf_counter() - t0,
-        })
-    if manifest.out:
-        write_rows_csv(manifest.out, ERROR_CSV_HEADER, [
-            [r["n"], format(r["mean_error"], ".17g"), r["trials"], r["seed"],
-             f"{r['wall_seconds']:.3f}"]
-            for r in rows
-        ])
-    return rows
+        tallies = (_sample(manifest, model, n, 2, idx, t).tally
+                   for t in range(manifest.trials))
+        fits = _batched_fits(
+            tallies, lambda batch: fit_tallies(batch, lam, config))
+        return {"n": n, "mean_error": float(np.mean(
+            [square_error(est.theta_hat, model, est.u)
+             for estimates in fits for est in estimates]))}
+
+    return _sweep(manifest, "ns", ERROR_CSV_HEADER, mean_error)
 
 
 def write_rows_csv(path, header: str, rows) -> None:

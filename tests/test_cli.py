@@ -68,7 +68,8 @@ def test_fit_large_penalty_zeroes_out(workspace, capsys):
     assert [doc[k] for k in list(doc)[-4:]] == [1, 0, 0, 0]
 
 
-def test_fit_unreachable_tolerance_exits_4(tmp_path):
+@pytest.mark.parametrize("command", ["fit", "learn"])
+def test_fit_unreachable_tolerance_exits_4(tmp_path, command):
     model = tmp_path / "m.json"
     samples = tmp_path / "s.txt"
     assert main(["gen-model", "--grid", "2", "--beta", "0.6",
@@ -76,11 +77,14 @@ def test_fit_unreachable_tolerance_exits_4(tmp_path):
     assert main(["sample", "--model", str(model), "--n", "500", "--seed", "3",
                  "--out", str(samples)]) == 0
     out = tmp_path / "fit.json"
-    rc = main(["fit", "--samples", str(samples), "--node", "0",
-               "--lambda", "0.01", "--kkt-tol", "1e-300", "--out", str(out)])
+    how = (["--node", "0", "--lambda", "0.01"] if command == "fit"
+           else ["--threshold", "0.3"])
+    rc = main([command, "--samples", str(samples), *how,
+               "--kkt-tol", "1e-300", "--out", str(out)])
     assert rc == 4
     doc = json.loads(out.read_text())  # output written despite the flag
-    assert doc["converged"] is False
+    reports = [doc] if command == "fit" else doc["node_reports"]
+    assert not all(r["converged"] for r in reports)
 
 
 def test_binary_and_text_samples_agree(tmp_path, capsys):

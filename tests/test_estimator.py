@@ -35,6 +35,11 @@ def test_lambda_schedule_orderings():
     with pytest.raises(InputError):
         lambda_schedule(1, 100, 0.1)
     with pytest.raises(InputError):
+        lambda_schedule(4, 0, 0.1)
+    # A one-spin set has no couplings to fit.
+    with pytest.raises(InputError):
+        fit_all_nodes(SampleSet(1, 3, np.ones((3, 1), dtype=np.int8)), 0.1)
+    with pytest.raises(InputError):
         lambda_schedule(4, 100, 1.5)
     with pytest.raises(InputError):
         lambda_schedule(4, 100, 0.1, mode="both")

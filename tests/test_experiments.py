@@ -139,6 +139,21 @@ def test_error_curve_rows_and_csv(tmp_path):
         run_error_curve(ExperimentManifest(kind="error_vs_n", seed=1))
 
 
+def test_error_curve_draws_past_the_enumeration_limit_with_glauber():
+    # p = 36 is past what exact draws enumerate, so only the Glauber
+    # branch of a manifest reaches it; its rows repeat run for run.
+    m = manifest_from_dict({"kind": "error_vs_n", "seed": 5, "side": 6,
+                            "sampler": "glauber", "burn_in_sweeps": 50,
+                            "thinning_sweeps": 2, "ns": [500, 4000],
+                            "trials": 1})
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_seconds"}
+                          for r in rows]
+    rows = strip(run_error_curve(m))
+    assert rows == strip(run_error_curve(m))
+    assert [r["n"] for r in rows] == [500, 4000]
+    assert rows[0]["mean_error"] > rows[1]["mean_error"] > 0.0
+
+
 def test_slope_helpers_exact_on_synthetic_laws():
     xs = np.array([1e3, 4e3, 1.6e4, 6.4e4])
     assert loglog_slope(xs, 3.5 * xs ** -0.5) == pytest.approx(-0.5, abs=1e-12)

@@ -33,6 +33,8 @@ def test_sample_set_validation():
         SampleSet(2, 3, np.ones((2, 2), dtype=np.int8))
     with pytest.raises(InputError):
         SampleSet(2, 1, np.array([[1, 2]], dtype=np.int8))
+    with pytest.raises(InputError):
+        SampleSet(3, 0, np.ones((0, 3), dtype=np.int8))
 
 
 def test_exact_sampler_deterministic_and_valid():
@@ -44,6 +46,8 @@ def test_exact_sampler_deterministic_and_valid():
     assert not np.array_equal(a.data, c.data)
     assert a.data.dtype == np.int8
     assert np.all(np.abs(a.data) == 1)
+    with pytest.raises(InputError):
+        sample_exact(m, 0, seed=42)
 
 
 def test_exact_sampler_two_spin_correlation():
@@ -120,6 +124,8 @@ def test_glauber_config_validation():
         GlauberConfig(seed=1, burn_in_sweeps=-1)
     with pytest.raises(InputError):
         GlauberConfig(seed=1, thinning_sweeps=0)
+    with pytest.raises(InputError):
+        sample_glauber(make_grid_model(2, 0.5), 0, GlauberConfig(seed=1))
 
 
 def test_empirical_covariance_properties():
@@ -185,6 +191,9 @@ def test_readers_reject_malformed(tmp_path):
         read_samples_text(bad_text)
     bad_header = tmp_path / "bad2.txt"
     bad_header.write_text("oops\n")
+    with pytest.raises(InputError):
+        read_samples_text(bad_header)
+    bad_header.write_text("3 x\n+1 -1 +1\n")
     with pytest.raises(InputError):
         read_samples_text(bad_header)
     bad_values = tmp_path / "bad3.txt"

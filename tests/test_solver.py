@@ -122,6 +122,8 @@ def test_bad_start_shape_rejected():
     view = node_view(s, 0)
     with pytest.raises(InputError):
         minimize(view, SolverConfig(), x0=np.zeros(5))
+    with pytest.raises(InputError):
+        minimize_rows(s.tally, range(4), SolverConfig(), np.zeros((3, 4)))
 
 
 def test_saturation_is_flagged_per_row():
