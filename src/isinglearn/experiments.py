@@ -19,7 +19,7 @@ and if it recovers the edges the other trials' tallies are fitted in
 batches of up to _BATCH_BYTES, one lockstep solve each. Candidates are
 warm started, as neighbours fit nearly the same couplings: every trial
 starts its fits from trial 0's coupling matrix at the candidate before
-it, and a width's first candidate starts from 0.
+it (each row on its support's table); a width's first starts from 0.
 
 run_error_curve fits every node at each listed n with the node-mode
 penalty schedule and reports the mean l2 coupling error. Its trials'

@@ -388,26 +388,26 @@ def _parse_rows(chars, ends, p: int, n: int) -> np.ndarray:
         edges = np.flatnonzero(np.diff(~_BLANK[seg], prepend=False,
                                        append=False))
         first, stop = edges[::2], edges[1::2]
-        row = np.searchsorted(bounds[lo + 1:hi + 1] - bounds[lo] - 1, first)
+        # Row j's tokens start between ends_in[j] and ends_in[j + 1].
+        ends_in = bounds[lo:hi + 1] - bounds[lo] - 1
+        tokens = np.diff(np.searchsorted(first, ends_in))
         sign, size = seg[first], stop - first
         plain = (seg[stop - 1] == ord("1")) & (
             (size == 1) | (size == 2) & ((sign == ord("+"))
                                          | (sign == ord("-"))))
         # Per row: a wrong token count, a non-integer token, an integer
         # other than +/-1.
-        faults = np.zeros((3, hi - lo), dtype=bool)
-        faults[0] = np.bincount(row, minlength=hi - lo) != p
+        faults = np.vstack([tokens != p, np.zeros((2, hi - lo), dtype=bool)])
         for t in np.flatnonzero(~plain):
+            j = np.searchsorted(ends_in, first[t]) - 1
             try:
-                value = int(seg[first[t]:stop[t]].tobytes())
+                faults[2, j] |= abs(int(seg[first[t]:stop[t]].tobytes())) != 1
             except ValueError:
-                faults[1, row[t]] = True
-            else:
-                faults[2, row[t]] |= abs(value) != 1
+                faults[1, j] = True
         if faults.any():
             k = int(np.argmax(faults.any(axis=0)))
             raise InputError(f"sample row {lo + k} " + [
-                f"has {np.sum(row == k)} tokens, expected {p}",
+                f"has {tokens[k]} tokens, expected {p}",
                 "has a non-integer token",
                 "has entries other than -1/+1"][np.argmax(faults[:, k])])
         data[lo:hi] = np.where(sign == ord("-"), -1, 1).reshape(hi - lo, p)

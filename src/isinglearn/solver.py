@@ -30,11 +30,11 @@ The starting point is the origin, which makes the fully-penalized
 regime exact: the gradient at 0 is an average of +/-1 rows, so
 ||grad||_inf <= 1 and any lam >= 1 certifies 0 at once. A caller may
 start elsewhere (x0, such as an earlier fit of the same model): a start
-that meets the tolerance returns after its one evaluation, with 0
-iterations, and one whose objective exceeds the origin's, exactly 1,
-restarts there. An accepted trial becomes the iterate with its own
-evaluation (value, gradient, saturation flag and residual): an iteration
-costs a Hessian pass, one evaluation and one per backtrack.
+that meets the tolerance returns with 0 iterations after two evaluations
+(one on a small design), and one whose objective exceeds the origin's,
+exactly 1, restarts there. An accepted trial becomes the iterate with
+its own evaluation (value, gradient, saturation flag and residual): an
+iteration costs a Hessian pass, one evaluation and one per backtrack.
 
 The rows are independent problems, but they share their data, so one
 loop (_newton) advances all of them in lockstep: a round takes their
@@ -53,8 +53,11 @@ loss, and its gradient on W, read the data only through the weight of
 each sign pattern of sigma_u * sigma_W: the row's
 screening.pattern_table, 2^|W| columns whatever the sample. After a full
 pass over the design, each uncertified row's W is its support, then its
-largest |gradient| entries, so violators come first. A round's sets
-share one width: enough for each row's support and, after the first
+largest |gradient| entries, so violators come first. A nonzero start
+that fits a table opens instead on its support's, with no full pass
+first: it is evaluated there, then certified by one (the two evaluations
+above), all such tables at the widest such support's width. A round's
+sets share one width: enough for each row's support and, after the first
 round, its violators, at least _WORKING_SET, and at most the widest
 table smaller than each row's design (and _WORKING_SET_CAP). The rows
 are solved by the same loop on their tables in one call, from their
@@ -294,7 +297,8 @@ def minimize_rows(design, rows, config: SolverConfig,
     design (on working sets or the full design, as the module docstring
     says); each report's solution lists the row's couplings to the
     other vertices in ascending order. x0, when given, holds one full
-    p-wide starting row per focal vertex; its focal entries are ignored.
+    p-wide starting row per focal vertex; its focal entries are ignored,
+    and a nonzero row that fits a table opens on its support's table.
     design may also be a list of designs that share p and total: the
     rows are solved on each from x0, reports design by design.
     """
@@ -328,6 +332,40 @@ def minimize_rows(design, rows, config: SolverConfig,
             saturated[j] |= sat
         counts[1, i] += 1
 
+    def table_round(live, g, k, need):
+        # One round on pattern tables of k columns per row: its support,
+        # then its largest g entries. With g None each start is evaluated
+        # on its table, and a far one leaves the round for the full pass.
+        fresh, at = g is None, np.arange(live.size)
+        key = np.where(x[live] != 0.0, -np.inf, 0.0 if fresh else -g)
+        key[at, rows[live]] = np.inf
+        cols = np.sort(np.argsort(key, axis=1, kind="stable")[:, :k], axis=1)
+        table = pattern_table([designs[d] for d in of[live]], rows[live], cols)
+        start, start_grad = np.zeros((2, live.size, k + 1))
+        start[:, 1:] = x[live[:, None], cols]
+        if fresh:
+            value[live], start_grad, sat = evaluate_rows(table, 0 * at, start)
+            saturated[live] |= sat
+            counts[1, live] += 1
+            at = at[value[live] + lam * np.abs(start).sum(axis=1) <= 1.0]
+        else:
+            start_grad[:, 1:] = grad[live[:, None], cols]
+        live, cols, need = live[at], cols[at], need[at]
+        sol, _, res, saturated[live], run = _newton(
+            lambda i: (table, np.zeros(len(i), dtype=np.int64), at[i]),
+            start[at], value[live], start_grad[at], saturated[live], lam,
+            tol, cap - counts[0, live])
+        x[live] = 0.0
+        x[live[:, None], cols] = sol[:, 1:]
+        counts[:4, live] += run
+        to_full[live] = (need > k) | ((res > tol) & (counts[0, live] < cap))
+
+    # Warm rows that fit a table open on their support's (module docstring).
+    support = (x != 0.0).sum(axis=1)
+    warm = np.flatnonzero((support > 0)
+                          & (np.maximum(support, _WORKING_SET) <= widest))
+    if warm.size:
+        table_round(warm, None, support[warm].max(), support[warm])
     live, first = np.arange(r), True
     while True:
         # A full pass certifies rows, or gives the next round its start.
@@ -366,26 +404,7 @@ def minimize_rows(design, rows, config: SolverConfig,
         live = live[~full]
         if live.size == 0:
             break
-        g, on, capped = g[~full], on[~full], need[~full] > k
-        g[np.arange(live.size), rows[live]] = -1.0
-        order = np.argsort(np.where(on, -np.inf, -g), axis=1, kind="stable")
-        cols = np.sort(order[:, :k], axis=1)
-        # One pattern design with per-row weights, from the last full
-        # pass. A row that stalls on it, or whose set was capped, finishes
-        # on the full design unless the next full pass certifies it.
-        table = pattern_table([designs[d] for d in of[live]], rows[live],
-                              cols)
-        start, start_grad = np.zeros((2, live.size, k + 1))
-        start[:, 1:] = x[live[:, None], cols]
-        start_grad[:, 1:] = grad[live[:, None], cols]
-        sol, _, res, saturated[live], run = _newton(
-            lambda i: (table, np.zeros(len(i), dtype=np.int64), i),
-            start, value[live], start_grad, saturated[live], lam, tol,
-            cap - counts[0, live])
-        x[live] = 0.0
-        x[live[:, None], cols] = sol[:, 1:]
-        counts[:4, live] += run
-        to_full[live] = capped | ((res > tol) & (counts[0, live] < cap))
+        table_round(live, g[~full], k, need[~full])
 
     solutions = x[np.arange(p) != rows[:, None]].reshape(r, p - 1)
     return [SolveReport(*fields) for fields in zip(

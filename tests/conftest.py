@@ -1,7 +1,8 @@
 """Shared test plumbing: collects the acceptance verdict lines and
 prints them as an uncaptured section after the run summary, and counts
 model enumerations, sample-set tallies, the solver's passes over full
-designs and its pattern-table builds."""
+designs and its pattern-table builds (these two also in one shared call
+order)."""
 
 from typing import NamedTuple
 
@@ -42,7 +43,14 @@ class FullPass(NamedTuple):
 
 
 @pytest.fixture
-def full_passes(monkeypatch):
+def solver_calls():
+    """The records of full_passes and table_builds, whichever a test
+    asks for, in one call order."""
+    return []
+
+
+@pytest.fixture
+def full_passes(monkeypatch, solver_calls):
     """The focal rows of each evaluate_rows and face_hessians call the
     solver makes on a full design (one shared row of weights, not a
     pattern table), and whether it was a face_hessians call, in call
@@ -53,6 +61,7 @@ def full_passes(monkeypatch):
         def wrapped(design, rows, *args):
             if design.weights.ndim == 1:
                 calls.append(FullPass(np.array(rows), hessian))
+                solver_calls.append(calls[-1])
             return function(design, rows, *args)
         monkeypatch.setattr(solver_module, function.__name__, wrapped)
 
@@ -62,7 +71,7 @@ def full_passes(monkeypatch):
 
 
 @pytest.fixture
-def table_builds(monkeypatch):
+def table_builds(monkeypatch, solver_calls):
     """The shape (rows, k) of the columns of each pattern_table call the
     solver makes, in call order."""
     calls = []
@@ -70,6 +79,7 @@ def table_builds(monkeypatch):
 
     def counting(design, rows, cols):
         calls.append(cols.shape)
+        solver_calls.append(cols.shape)
         return pattern_table(design, rows, cols)
 
     monkeypatch.setattr(solver_module, "pattern_table", counting)

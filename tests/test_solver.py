@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FullPass
+
 from isinglearn import (InputError, IsingModel, SampleSet, SolverConfig,
                         kkt_residual, lambda_schedule, make_grid_model,
                         minimize, node_view, sample_exact, screening_gradient,
@@ -439,6 +441,122 @@ def test_designs_whose_widest_tables_differ_solve_together(monkeypatch):
             assert a.converged and b.converged
             np.testing.assert_allclose(a.solution, b.solution, rtol=0,
                                        atol=cfg.kkt_tolerance)
+
+
+def _coupling_rows(reports):
+    return np.array([np.insert(r.solution, u, 0.0)
+                     for u, r in enumerate(reports)])
+
+
+def _glass_start():
+    # The glass of _glass_samples(0.9) fitted at another n, 10000 draws:
+    # every row holds 3-6 couplings.
+    s = sample_exact(make_grid_model(4, 0.9, "spin_glass", seed=5), 10000,
+                     seed=50)
+    return _coupling_rows(minimize_rows(s.tally, range(16), SolverConfig(
+        lam=lambda_schedule(16, s.n, 0.05), kkt_tolerance=1e-8)))
+
+
+def _glass_config():
+    return SolverConfig(lam=lambda_schedule(16, 30000, 0.05),
+                        kkt_tolerance=1e-8)
+
+
+def _opens_on_one_table(calls, rows, x0):
+    # The solve's first call builds one table of the given rows, at the
+    # widest start support, and a full pass over every row follows it.
+    assert [isinstance(c, FullPass) for c in calls[:2]] == [False, True]
+    assert calls[0] == (rows, np.count_nonzero(x0, axis=1).max())
+    assert calls[1].rows.tolist() == list(range(len(x0)))
+
+
+def test_warm_start_opens_on_its_support_table(full_passes, table_builds,
+                                               solver_calls):
+    # Started from the fit at another n, every row takes its first round
+    # on the table of its own support, before any full-design
+    # evaluation; the full passes after it certify the rows, which end
+    # with the cold fit's edges.
+    s, cfg, x0 = _glass_samples(0.9), _glass_config(), _glass_start()
+    cold = minimize_rows(s.tally, range(16), cfg)
+    del solver_calls[:]
+    warm = minimize_rows(s.tally, range(16), cfg, x0)
+    _opens_on_one_table(solver_calls, 16, x0)
+    assert np.count_nonzero(x0, axis=1).max() < solver._WORKING_SET
+    assert all(r.restarts == 0 for r in warm)
+    _certified_on_a_full_pass(s, warm, cfg)
+    for a, b in zip(cold, warm):
+        np.testing.assert_array_equal(a.solution != 0, b.solution != 0)
+        np.testing.assert_allclose(a.solution, b.solution, atol=1e-6)
+
+
+def test_warm_start_at_its_own_solution_takes_two_evaluations(
+        full_passes, table_builds, solver_calls):
+    # Its support's table, where it meets the tolerance, then the full
+    # pass that certifies it: 0 iterations, the solution bit for bit.
+    s, cfg = _glass_samples(0.9), _glass_config()
+    cold = minimize_rows(s.tally, range(16), cfg)
+    x0 = _coupling_rows(cold)
+    del solver_calls[:]
+    warm = minimize_rows(s.tally, range(16), cfg, x0)
+    _opens_on_one_table(solver_calls, 16, x0)
+    assert len(solver_calls) == 2 and not solver_calls[1].hessian
+    assert [(r.iterations, r.evaluations) for r in warm] == [(0, 2)] * 16
+    for a, b in zip(cold, warm):
+        assert b.converged
+        assert b.solution.tobytes() == a.solution.tobytes()
+
+
+def test_all_zero_start_row_opens_with_a_full_pass(full_passes,
+                                                   table_builds,
+                                                   solver_calls):
+    # Row 3 starts at 0 and the others from the fit at another n: the
+    # first table holds the 15 warm rows only, and row 3 is first read
+    # by the full pass after it, as a cold row is.
+    s, cfg, x0 = _glass_samples(0.9), _glass_config(), _glass_start()
+    x0[3] = 0.0
+    del solver_calls[:]
+    reports = minimize_rows(s.tally, range(16), cfg, x0)
+    _opens_on_one_table(solver_calls, 15, x0)
+    _certified_on_a_full_pass(s, reports, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_table_start_restarts_at_the_origin(full_passes, table_builds,
+                                                solver_calls):
+    # The supports of the fit at another n at couplings drawn
+    # N(0, 30^2): each start's table objective is far above the
+    # origin's, 1, so every row leaves the first table round and
+    # restarts at the origin, and numpy stays silent.
+    s, cfg = _glass_samples(0.9), _glass_config()
+    x0 = np.where(_glass_start() != 0.0, np.random.default_rng(1).normal(
+        scale=30, size=(16, 16)), 0.0)
+    del solver_calls[:]
+    reports = minimize_rows(s.tally, range(16), cfg, x0)
+    _opens_on_one_table(solver_calls, 16, x0)
+    assert all(r.restarts >= 1 for r in reports)
+    assert all(np.isfinite(r.objective_value) for r in reports)
+    _certified_on_a_full_pass(s, reports, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_saturated_table_start_is_flagged(lam, full_passes, table_builds,
+                                          solver_calls):
+    # Spin 1 copies spin 0 in the glass's draws (973 distinct rows, so
+    # tables of up to 9 coordinates), and row 0 starts at theta_01 = 800:
+    # on its one-column table every linear form is +800, past the clamp.
+    # At lam = 0.05 the start is far and restarts; at lam = 0 it is not.
+    # Only row 0 is flagged, and numpy stays silent.
+    data = _glass_samples(0.9).data.copy()
+    data[:, 1] = data[:, 0]
+    x0 = np.zeros((16, 16))
+    x0[0, 1] = 800.0
+    reports = minimize_rows(SampleSet(16, 30000, data).tally, range(16),
+                            SolverConfig(lam=lam, max_iterations=1), x0)
+    _opens_on_one_table(solver_calls, 1, x0)
+    assert [r.saturated for r in reports] == [u == 0 for u in range(16)]
+    assert reports[0].restarts == (lam > 0)
+    assert all(np.isfinite(r.objective_value) for r in reports)
 
 
 def _face_system(hess, inside):
