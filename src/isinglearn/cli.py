@@ -26,9 +26,9 @@ from .experiments import (ExperimentManifest, manifest_from_dict,
                           run_error_curve, run_nmin_search)
 from .model import (load_model, make_grid_model, make_random_model,
                     save_model)
-from .sampler import (RNG_ALGORITHM, GlauberConfig, read_samples_binary,
-                      read_samples_text, sample_exact, sample_glauber,
-                      write_samples_binary, write_samples_text)
+from .sampler import (_MAGIC, RNG_ALGORITHM, GlauberConfig,
+                      read_samples_binary, read_samples_text, sample_exact,
+                      sample_glauber, write_samples_binary, write_samples_text)
 from .solver import SolverConfig
 from .theory import verification_report
 
@@ -125,7 +125,7 @@ _PARSER = _build_parser()
 def _read_samples(path: str):
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == b"ISNG":
+    if magic == _MAGIC:
         return read_samples_binary(path)
     return read_samples_text(path)
 

@@ -42,7 +42,6 @@ class NodeEstimate:
 class EdgeSet:
     """Recovered edges (canonical i < j) with symmetrized weights."""
 
-    p: int
     edges: set[tuple[int, int]]
     weights: dict[tuple[int, int], float]
 
@@ -129,7 +128,7 @@ def edges_from_estimates(estimates: list[NodeEstimate], alpha_threshold: float,
     i, j = np.nonzero(np.triu(np.abs(pair_sums) >= alpha_threshold, k=1))
     edges = list(zip(i.tolist(), j.tolist()))
     weights = {e: float(pair_sums[e]) / 2.0 for e in edges}
-    return EdgeSet(p, set(edges), weights)
+    return EdgeSet(set(edges), weights)
 
 
 def learn_structure(samples: SampleSet, lam: float, alpha_threshold: float,

@@ -6,19 +6,21 @@ sigma in {-1,+1}^p is proportional to exp(sum_{(i,j)} theta_ij sigma_i
 sigma_j). Edges are stored canonically with i < j and a missing edge
 means a zero coupling.
 
-Exact quantities (partition function, probabilities, the full
-distribution, the exact sampler's tables) read one enumeration of all
-2**p configurations, made on the first use of any of them and kept,
-read only, on the model: a model is enumerated at most once, and an
-equal model built afresh enumerates again. Enumeration is guarded by
-ENUMERATION_LIMIT. Configuration index k encodes spins little-endian:
-spin i of configuration k is +1 iff bit i of k is set.
+Graph facts and the Glauber chain read one adjacency (each vertex's
+neighbours, ascending, with their couplings); exact quantities (partition
+function, probabilities, the full distribution, the exact sampler's tables)
+read one enumeration of all 2**p configurations. Each is made on first use
+and kept, read only, on the model: a model is enumerated at most once, and
+an equal model built afresh enumerates again. Enumeration is guarded by
+ENUMERATION_LIMIT. Configuration index k encodes spins little-endian: spin i
+of configuration k is +1 iff bit i of k is set.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,24 +87,14 @@ class IsingModel:
 
     def neighbors(self, u: int) -> list[int]:
         self._check_vertex(u)
-        out = []
-        for i, j in self.couplings:
-            if i == u:
-                out.append(j)
-            elif j == u:
-                out.append(i)
-        return sorted(out)
+        return list(self._adjacency.get(u, ()))
 
     def degree(self, u: int) -> int:
         return len(self.neighbors(u))
 
     @property
     def max_degree(self) -> int:
-        counts = [0] * self.p
-        for i, j in self.couplings:
-            counts[i] += 1
-            counts[j] += 1
-        return max(counts) if counts else 0
+        return max(map(len, self._adjacency.values()), default=0)
 
     @property
     def min_coupling(self) -> float:
@@ -123,11 +115,8 @@ class IsingModel:
         list of vertices != u (zeros where no edge)."""
         self._check_vertex(u)
         row = np.zeros(self.p - 1)
-        for (i, j), theta in self.couplings.items():
-            if i == u:
-                row[j - (j > u)] = theta
-            elif j == u:
-                row[i - (i > u)] = theta
+        for j, theta in self._adjacency.get(u, {}).items():
+            row[j - (j > u)] = theta
         return row
 
     def _check_vertex(self, u):
@@ -137,6 +126,14 @@ class IsingModel:
     # Derived from the frozen fields, these live and die with the model;
     # cached_property writes the instance dict, so neither equality nor
     # the frozen fields see them.
+    @cached_property
+    def _adjacency(self) -> dict[int, dict[int, float]]:
+        """Each vertex with an edge: {neighbour: coupling}, ascending."""
+        adjacency = defaultdict(dict)
+        for (i, j), theta in sorted(self.couplings.items()):
+            adjacency[i][j] = adjacency[j][i] = theta
+        return dict(adjacency)
+
     @cached_property
     def _enumeration(self) -> tuple[np.ndarray, float]:
         """The probabilities of all 2**p configurations (read-only) and

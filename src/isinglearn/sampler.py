@@ -164,13 +164,18 @@ class SampleSet:
     """n configurations of p spins, held as words: n x W uint64
     configuration words, W = ceil(p / 64), spin i +1 iff bit i % 64 of
     word i // 64 is set, the bits past p clear. SampleSet(p, n, data)
-    checks and packs n x p -1/+1 rows; draws and binary files build
-    their words directly (_of_words). Treat instances as immutable: the
-    tally and data (the int8 rows: decoded on first read, or the rows
-    the set was built from) are computed once and kept."""
+    checks and packs n x p -1/+1 rows, integer or float; draws and
+    binary files build their words directly (_of_words). Treat instances
+    as immutable: the tally and data (the int8 rows, decoded on first
+    read) are computed once and kept."""
 
     def __init__(self, p: int, n: int, data):
-        data = np.asarray(data, dtype=np.int8)
+        try:
+            data = np.asarray(data)
+        except ValueError as exc:  # ragged rows
+            raise InputError(f"sample rows are ragged: {exc}") from exc
+        if data.dtype.kind not in "iuf":
+            raise InputError(f"sample entries are {data.dtype}, not numbers")
         if data.shape != (n, p):
             raise InputError(
                 f"data shape {data.shape} does not match (n, p)=({n}, {p})")
@@ -185,7 +190,7 @@ class SampleSet:
                 raise InputError("sample entries must be -1 or +1")
             words[lo:lo + block, :-(-p // 8)] = np.packbits(
                 rows > 0, axis=1, bitorder="little")
-        self.p, self.n, self.words, self.data = p, n, words.view("<u8"), data
+        self.p, self.n, self.words = p, n, words.view("<u8")
 
     @classmethod
     def _of_words(cls, p: int, words: np.ndarray) -> SampleSet:
@@ -225,7 +230,7 @@ class GlauberConfig:
 
 
 def _check_memory(nbytes: int, what: str):
-    """Refuse a draw whose arrays exceed physical memory, before allocating them."""
+    """Refuse, before allocating, arrays that exceed physical memory."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -272,12 +277,9 @@ def _colour_classes(model: IsingModel) -> list[np.ndarray]:
     """Greedy proper colouring: each vertex, in order 0..p-1, takes the
     smallest colour that none of its lower-numbered neighbours holds.
     Returns the vertices of each colour class, ascending."""
-    lower = [[] for _ in range(model.p)]
-    for i, j in model.couplings:
-        lower[j].append(i)
     colour = []
     for i in range(model.p):
-        taken = {colour[j] for j in lower[i]}
+        taken = {colour[j] for j in model._adjacency.get(i, ()) if j < i}
         c = 0
         while c in taken:
             c += 1
@@ -307,16 +309,14 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
     order = np.concatenate(classes)
     at = np.argsort(order)
     state = spins[order].astype(np.float64)
-    nbrs = [[] for _ in range(p)]
-    for (i, j), theta in sorted(model.couplings.items()):
-        nbrs[i].append((at[j], 2.0 * theta))
-        nbrs[j].append((at[i], 2.0 * theta))
     # Per class: its slice, its neighbours' places padded to the class's
     # largest degree, and 2 * theta on them (0 on the padding).
     steps, lo = [], 0
     for sites in classes:
-        width = max(len(nbrs[i]) for i in sites)
-        rows = [nbrs[i] + [(0, 0.0)] * (width - len(nbrs[i])) for i in sites]
+        nbrs = [[(at[j], 2.0 * theta) for j, theta in
+                 model._adjacency.get(i, {}).items()] for i in sites]
+        width = max(map(len, nbrs))
+        rows = [r + [(0, 0.0)] * (width - len(r)) for r in nbrs]
         steps.append((slice(lo, lo + sites.size),
                       np.array([[j for j, _ in r] for r in rows], dtype=np.intp),
                       np.array([[w for _, w in r] for r in rows])))
@@ -475,7 +475,9 @@ def read_samples_binary(path) -> SampleSet:
         if n < 1 or p < 1:
             raise InputError("need n >= 1 and p >= 1")
         # Whole groups of 8 rows, so every chunk decodes whole bytes.
-        words = np.empty((-(-n // 8) * 8, -(-p // 64)), dtype=np.uint64)
+        shape = (-(-n // 8) * 8, -(-p // 64))
+        _check_memory(8 * shape[0] * shape[1], f"{n} rows of p={p}")
+        words = np.empty(shape, dtype=np.uint64)
         chunks = _io_chunks(words, p)
         buf = np.zeros(len(chunks[0]) * p // 8 + 8 * words.shape[1],
                        dtype=np.uint8)

@@ -47,6 +47,27 @@ def test_degree_and_coupling_scales():
         _ = empty.min_coupling
 
 
+def test_adjacency_matches_a_scan_of_the_couplings():
+    # Keys unsorted, some given as (j, i); vertices 0, 5 and 8 isolated.
+    m = IsingModel(9, {(7, 2): 0.5, (1, 3): -1.0, (4, 2): 0.25,
+                       (6, 1): -0.75, (2, 1): 2.0, (3, 7): 1.5})
+    assert "_adjacency" not in vars(m)
+    for u in range(m.p):
+        pairs = sorted((j if i == u else i, theta)
+                       for (i, j), theta in m.couplings.items() if u in (i, j))
+        assert m.neighbors(u) == [v for v, _ in pairs]
+        assert m.degree(u) == len(pairs)
+        row = np.zeros(m.p - 1)
+        for v, theta in pairs:
+            row[v - (v > u)] = theta
+        assert np.array_equal(m.coupling_row(u), row)
+    assert m.max_degree == 3 == max(m.degree(u) for u in range(m.p))
+    assert "_adjacency" in vars(m)
+    grid = make_grid_model(4, 0.5)
+    assert "_adjacency" not in vars(grid)
+    assert grid.neighbors(5) == [1, 4, 6, 9] and "_adjacency" in vars(grid)
+
+
 def test_energy_exponent_hand_value():
     m = IsingModel(3, {(0, 1): 0.5, (1, 2): -0.3})
     assert energy_exponent(m, [1, 1, 1]) == pytest.approx(0.2, abs=1e-15)

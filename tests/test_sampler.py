@@ -14,6 +14,7 @@ from isinglearn import (CapabilityError, GlauberConfig, InputError,
                         sample_glauber, write_samples_binary,
                         write_samples_text)
 from isinglearn import sampler as sampler_module
+from isinglearn.cli import main
 from isinglearn.sampler import _CHUNK, _DRAW_CHUNK, _colour_classes, _lookup
 
 
@@ -35,6 +36,17 @@ def test_sample_set_validation():
         SampleSet(2, 1, np.array([[1, 2]], dtype=np.int8))
     with pytest.raises(InputError):
         SampleSet(3, 0, np.ones((0, 3), dtype=np.int8))
+    # Entries are checked as given, not as their int8 cast; non-numeric
+    # and ragged rows are refused too.
+    for rows in [[[1.9, -1.2]], [[1.5, -1]], np.array([[257, -1]], np.int16),
+                 np.array([[1, 255]], np.uint8), [[None, 1]], [[1 + 0j, -1]],
+                 [["1", "-1"]], [[1, -1], [1]], [[True, True]]]:
+        with pytest.raises(InputError):
+            SampleSet(2, len(rows), rows)
+    for rows in [[[1.0, -1.0]], np.array([[1, 1]], np.uint8)]:
+        s = SampleSet(2, 1, rows)
+        assert "data" not in vars(s)
+        assert np.array_equal(s.data, rows) and s.data.dtype == np.int8
 
 
 def test_exact_sampler_deterministic_and_valid():
@@ -536,6 +548,27 @@ def test_wide_row_io_holds_its_words_and_one_chunk(tmp_path):
         read = _traced_peak(lambda: read_samples_text(text))
         assert read <= text.stat().st_size + n * p + words.nbytes + (1 << 20)
         assert np.array_equal(read_samples_text(text).words, words)
+
+
+def test_binary_read_refuses_words_past_physical_memory(tmp_path,
+                                                        monkeypatch):
+    # 1000 rows of p = 70 take two words each, 16000 bytes: their file is
+    # refused, before any is allocated, by a memory one byte smaller.
+    path, out = tmp_path / "s.bin", tmp_path / "result.json"
+    write_samples_binary(SampleSet(70, 1000, np.ones((1000, 70))), path)
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1000 * 2 * 8 - 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="physical memory"):
+            read_samples_binary(path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert main(["learn", "--samples", str(path), "--threshold", "0.5",
+                 "--out", str(out)]) == 3
+    pages["SC_PHYS_PAGES"] += 1
+    assert read_samples_binary(path).words.shape == (1000, 2)
 
 
 def test_binary_header_past_its_payload_allocates_nothing(tmp_path):
