@@ -49,13 +49,17 @@ class EdgeSet:
         return sorted(self.edges)
 
 
+def _check_epsilon(epsilon: float):
+    if not 0.0 < epsilon < 1.0:
+        raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def lambda_schedule(p: int, n: int, epsilon: float, mode: str = "structure") -> float:
     if p < 2:
         raise InputError(f"p must be >= 2, got {p}")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if not 0.0 < epsilon < 1.0:
-        raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     if mode == "node":
         arg = 3.0 * p / epsilon
     elif mode == "structure":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,52 +34,68 @@ ENUMERATION_LIMIT = 25
 _ENUM_CHUNK = 1 << 20
 
 
-def _canonical_couplings(couplings):
-    out = {}
-    for key, theta in couplings.items():
-        i, j = key
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-            raise InputError(f"edge endpoints must be integers, got {key!r}")
-        i, j = int(i), int(j)
-        if i == j:
-            raise InputError(f"self-loop ({i}, {j}) is not allowed")
-        if i > j:
-            i, j = j, i
-        try:
+def _integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _canonical_couplings(couplings, p: int) -> dict[tuple[int, int], float]:
+    """The couplings as {(i, j): theta}, i < j, checked in one pass: keys
+    pairs of integers in range(p), no loops or repeats; couplings nonzero
+    reals, finite in sum. A dict, or model_from_json's (key, theta) list."""
+    if isinstance(couplings, dict):
+        couplings = couplings.items()
+    elif not (isinstance(couplings, list)
+              and all(type(e) is tuple and len(e) == 2 for e in couplings)):
+        raise InputError("couplings must be a dict from edges to values")
+    out, total = {}, 0.0
+    for key, theta in couplings:
+        # Python ints and floats, the usual case, skip the general tests.
+        i, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if type(i) is not int or type(j) is not int:
+            if not (_integer(i) and _integer(j)):
+                raise InputError(f"edge {key!r} is not a pair of integers")
+            i, j = int(i), int(j)
+        i, j = (i, j) if i < j else (j, i)
+        if i == j or i < 0 or j >= p:
+            raise InputError(f"self-loop {key!r}" if i == j else
+                             f"edge {key!r} out of range for p={p}")
+        if type(theta) is not float:
+            if (isinstance(theta, bool) or not isinstance(
+                    theta, (int, float, np.integer, np.floating))
+                    or isinstance(theta, int) and abs(theta) > sys.float_info.max):
+                raise InputError(f"coupling of edge {key!r} must be a finite "
+                                 f"real number, got {theta!r}")
             theta = float(theta)
-        except OverflowError as exc:
-            raise InputError(f"coupling for edge ({i}, {j}) is too large "
-                             f"for a float") from exc
-        if not math.isfinite(theta):
-            raise InputError(f"coupling for edge ({i}, {j}) must be finite")
         if theta == 0.0:
-            raise InputError(f"coupling for edge ({i}, {j}) must be nonzero")
+            raise InputError(f"coupling of edge {key!r} must be nonzero")
         if (i, j) in out:
             raise InputError(f"duplicate edge ({i}, {j})")
         out[(i, j)] = theta
+        total += abs(theta)
+    # It bounds every energy; finite only if every coupling is.
+    if not math.isfinite(total):
+        raise InputError("couplings must be finite, with a finite sum")
     return out
 
 
 @dataclass(frozen=True)
 class IsingModel:
     """Vertex count plus a map from canonical edges (i, j), i < j, to
-    nonzero coupling values. Treat instances as immutable."""
+    nonzero coupling values. Treat instances as immutable; equal models
+    hash alike."""
 
     p: int
     couplings: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or self.p < 1:
+        if not _integer(self.p) or self.p < 1:
             raise InputError(f"p must be a positive integer, got {self.p!r}")
         object.__setattr__(self, "p", int(self.p))
-        canon = _canonical_couplings(self.couplings)
-        for i, j in canon:
-            if j >= self.p or i < 0:
-                raise InputError(f"edge ({i}, {j}) out of range for p={self.p}")
-        # The sum bounds every energy; past float64 they turn to inf/NaN.
-        if not math.isfinite(sum(abs(t) for t in canon.values())):
-            raise InputError("coupling magnitudes must have a finite sum")
-        object.__setattr__(self, "couplings", canon)
+        object.__setattr__(self, "couplings",
+                           _canonical_couplings(self.couplings, self.p))
+
+    def __hash__(self):
+        return hash((self.p, frozenset(self.couplings.items())))
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -86,7 +103,7 @@ class IsingModel:
         return sorted(self.couplings)
 
     def neighbors(self, u: int) -> list[int]:
-        self._check_vertex(u)
+        _check_vertex(u, self.p)
         return list(self._adjacency.get(u, ()))
 
     def degree(self, u: int) -> int:
@@ -113,15 +130,11 @@ class IsingModel:
     def coupling_row(self, u: int) -> np.ndarray:
         """Couplings of u to every other vertex, indexed by the ascending
         list of vertices != u (zeros where no edge)."""
-        self._check_vertex(u)
+        _check_vertex(u, self.p)
         row = np.zeros(self.p - 1)
         for j, theta in self._adjacency.get(u, {}).items():
             row[j - (j > u)] = theta
         return row
-
-    def _check_vertex(self, u):
-        if not (0 <= u < self.p):
-            raise InputError(f"vertex {u} out of range for p={self.p}")
 
     # Derived from the frozen fields, these live and die with the model;
     # cached_property writes the instance dict, so neither equality nor
@@ -175,6 +188,11 @@ class IsingModel:
         return guide
 
 
+def _check_vertex(u: int, p: int):
+    if not _integer(u) or not 0 <= u < p:
+        raise InputError(f"vertex {u!r} is not an integer in range({p})")
+
+
 def beta_d(model: IsingModel) -> float:
     """Width parameter times max degree; 0 for edgeless models."""
     if not model.couplings:
@@ -182,30 +200,31 @@ def beta_d(model: IsingModel) -> float:
     return model.max_coupling * model.max_degree
 
 
-def validate_configuration(spins, p: int) -> np.ndarray:
-    """Check a length-p array of -1/+1 entries and return it as int8."""
-    arr = np.asarray(spins)
-    if arr.shape != (p,):
-        raise InputError(f"expected configuration of shape ({p},), got {arr.shape}")
-    if not np.all(np.abs(arr) == 1):
-        raise InputError("configuration entries must be -1 or +1")
-    return arr.astype(np.int8)
+def _spin_array(spins, shape: tuple, what: str) -> np.ndarray:
+    """spins as an int or float array of the given shape, each entry +/-1."""
+    try:
+        arr = np.asarray(spins)
+    except ValueError as exc:  # ragged rows
+        raise InputError(f"{what} rows are ragged: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InputError(f"{what} entries are {arr.dtype}, not numbers")
+    if arr.shape != shape or arr.size == 0:
+        raise InputError(f"{what} shape {arr.shape}, expected a nonempty {shape}")
+    # 2^18 entries a pass keep the check's temporaries small.
+    block = max(1, (1 << 18) // math.prod(shape[1:]))
+    for lo in range(0, len(arr), block):
+        if not np.all(np.abs(arr[lo:lo + block]) == 1):
+            raise InputError(f"{what} entries must be -1 or +1")
+    return arr
 
 
 def energy_exponent(model: IsingModel, spins) -> float:
     """The exponent sum_{(i,j) in E} theta_ij sigma_i sigma_j."""
-    arr = validate_configuration(spins, model.p)
+    arr = _spin_array(spins, (model.p,), "configuration")
     total = 0.0
     for (i, j), theta in model.couplings.items():
         total += theta * float(arr[i]) * float(arr[j])
     return total
-
-
-def _check_enumeration(p: int):
-    if p > ENUMERATION_LIMIT:
-        raise CapabilityError(
-            f"exact enumeration supports p <= {ENUMERATION_LIMIT}, got p={p}"
-        )
 
 
 def configurations_from_indices(indices, p: int) -> np.ndarray:
@@ -224,7 +243,9 @@ def configurations_from_indices(indices, p: int) -> np.ndarray:
 
 def enumerate_exponents(model: IsingModel) -> np.ndarray:
     """Energy exponent of every configuration, indexed 0..2**p-1."""
-    _check_enumeration(model.p)
+    if model.p > ENUMERATION_LIMIT:
+        raise CapabilityError(f"exact enumeration supports p <= "
+                              f"{ENUMERATION_LIMIT}, got p={model.p}")
     total = 1 << model.p
     out = np.zeros(total)
     for start in range(0, total, _ENUM_CHUNK):
@@ -331,29 +352,15 @@ def model_from_json(text: str) -> IsingModel:
         # ValueError also covers integer literals past Python's digit
         # limit; RecursionError is nesting deeper than the parser goes.
         raise InputError(f"malformed model JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "p" not in obj or "edges" not in obj:
-        raise InputError('model JSON must be an object with "p" and "edges"')
-    if not isinstance(obj["edges"], list):
-        raise InputError('"edges" must be a list')
-    # JSON true/false load as Python bools, which pass as the ints 1/0.
-    if isinstance(obj["p"], bool):
-        raise InputError(f'"p" must be an integer, got {obj["p"]!r}')
-    couplings = {}
+    if not (isinstance(obj, dict) and "p" in obj
+            and isinstance(obj.get("edges"), list)):
+        raise InputError('model JSON needs "p" and an "edges" list')
+    pairs = []
     for entry in obj["edges"]:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "theta"}:
             raise InputError(f"bad edge entry {entry!r}")
-        i, j, theta = entry["i"], entry["j"], entry["theta"]
-        # Bools would pass as the ints 1/0, and float() would also take
-        # strings such as "0.5".
-        if (any(isinstance(v, bool) for v in (i, j, theta))
-                or not (isinstance(i, int) and isinstance(j, int))
-                or not isinstance(theta, (int, float))):
-            raise InputError(f"edge entry {entry!r} needs integer endpoints "
-                             f"and a numeric coupling")
-        if (i, j) in couplings:
-            raise InputError(f"duplicate edge {(i, j)} in model JSON")
-        couplings[(i, j)] = theta
-    return IsingModel(obj["p"], couplings)
+        pairs.append(((entry["i"], entry["j"]), entry["theta"]))
+    return IsingModel(obj["p"], pairs)
 
 
 def save_model(model: IsingModel, path):

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .model import IsingModel, configurations_from_indices
+from .model import IsingModel, _spin_array, configurations_from_indices
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -170,26 +170,13 @@ class SampleSet:
     read) are computed once and kept."""
 
     def __init__(self, p: int, n: int, data):
-        try:
-            data = np.asarray(data)
-        except ValueError as exc:  # ragged rows
-            raise InputError(f"sample rows are ragged: {exc}") from exc
-        if data.dtype.kind not in "iuf":
-            raise InputError(f"sample entries are {data.dtype}, not numbers")
-        if data.shape != (n, p):
-            raise InputError(
-                f"data shape {data.shape} does not match (n, p)=({n}, {p})")
-        if n < 1 or p < 1:
-            raise InputError("need n >= 1 and p >= 1")
+        data = _spin_array(data, (n, p), "sample")
         words = np.zeros((n, -(-p // 64) * 8), dtype=np.uint8)
-        # 2^18 spins a pass keep the check's and packing's arrays small.
+        # 2^18 spins a pass keep the packing's arrays small.
         block = max(1, (1 << 18) // p)
         for lo in range(0, n, block):
-            rows = data[lo:lo + block]
-            if not np.all(np.abs(rows) == 1):
-                raise InputError("sample entries must be -1 or +1")
             words[lo:lo + block, :-(-p // 8)] = np.packbits(
-                rows > 0, axis=1, bitorder="little")
+                data[lo:lo + block] > 0, axis=1, bitorder="little")
         self.p, self.n, self.words = p, n, words.view("<u8")
 
     @classmethod

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .model import configurations_from_indices
+from .model import _check_vertex, configurations_from_indices
 from .sampler import Design, SampleSet
 
 LINEAR_FORM_LIMIT = 700.0
@@ -89,8 +89,7 @@ class NodeView:
 
 def node_view(samples: SampleSet, u: int) -> NodeView:
     """Vertex u's view of the sample set's tally."""
-    if not 0 <= u < samples.p:
-        raise InputError(f"vertex {u} out of range for p={samples.p}")
+    _check_vertex(u, samples.p)
     if samples.p < 2:
         raise InputError("need p >= 2 for a nonempty view")
     return NodeView(samples.tally, u, samples.n)
@@ -173,8 +172,7 @@ def empirical_covariance(samples: SampleSet, exclude: int) -> np.ndarray:
     """Empirical second-moment matrix (1/n) sum_k sigma_i sigma_j over
     the vertices != exclude, read off the tally. Symmetric, unit
     diagonal, entries in [-1, 1]."""
-    if not 0 <= exclude < samples.p:
-        raise InputError(f"vertex {exclude} out of range for p={samples.p}")
+    _check_vertex(exclude, samples.p)
     return _second_moments([samples.tally], exclude)
 
 

@@ -48,8 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .estimator import lambda_schedule
-from .model import IsingModel, beta_d, exact_distribution
+from .estimator import _check_epsilon, lambda_schedule
+from .model import IsingModel, _check_vertex, beta_d, exact_distribution
 from .sampler import RNG_ALGORITHM, _indexed_design
 from .screening import (NodeView, _second_moments, evaluate_rows,
                         remainder_kernel, remainder_kernel_floor,
@@ -84,15 +84,8 @@ class ModelParams:
 
 
 def params_from_model(model: IsingModel) -> ModelParams:
-    if not model.couplings:
-        raise InputError("edgeless model has no coupling scale")
     return ModelParams(model.p, model.max_degree,
                        model.min_coupling, model.max_coupling)
-
-
-def _check_epsilon(epsilon: float):
-    if not 0.0 < epsilon < 1.0:
-        raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def sample_lower_bound(params: ModelParams) -> float:
@@ -225,7 +218,6 @@ def population_gradient_moments(model: IsingModel, u: int):
     1 componentwise, which is what the screening construction is for.
     Both are the population loss: the mean is its gradient at theta*,
     the second moment its value at 2 theta*."""
-    model._check_vertex(u)
     row = np.insert(model.coupling_row(u), u, 0.0)
     mean, second = 0.0, 0.0
     for design in _enumeration_designs(model):
@@ -239,7 +231,7 @@ def population_gradient_moments(model: IsingModel, u: int):
 def exact_pair_covariance(model: IsingModel, exclude: int) -> np.ndarray:
     """Population second-moment matrix of the spins other than
     exclude, by enumeration."""
-    model._check_vertex(exclude)
+    _check_vertex(exclude, model.p)
     return _second_moments(_enumeration_designs(model), exclude)
 
 
@@ -280,6 +272,8 @@ def restricted_convexity_check(view: NodeView, model: IsingModel, u: int,
     radius = 2.0 / math.sqrt(d)
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if u != view.u:
+        raise InputError(f"the view is of vertex {view.u}, not {u}")
     k = view.others.size
     theta_star = model.coupling_row(u)
     floor = math.exp(-3.0 * params.beta_d) / (

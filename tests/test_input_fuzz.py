@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isinglearn import (ExperimentManifest, InputError, IsingModel,
-                        SampleSet, manifest_from_dict, model_from_json,
-                        read_samples_binary, read_samples_text)
+                        SampleSet, energy_exponent, manifest_from_dict,
+                        model_from_json, read_samples_binary,
+                        read_samples_text)
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -88,6 +89,36 @@ def test_model_from_json_text_raises_only_input_error(text):
 @given(tree=model_trees | json_values)
 def test_model_from_json_tree_raises_only_input_error(tree):
     _returns_or_input_error(model_from_json, json.dumps(tree), IsingModel)
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+# Dicts of hashable keys, pairs among them, and any values: the Python
+# API's model input, checked by the same rule as a model file's.
+model_couplings = st.dictionaries(
+    (st.tuples(json_values | st.integers(-1, 4), json_values | st.integers(-1, 4))
+     | json_values).filter(_hashable), json_values, max_size=4)
+
+
+@FUZZ
+@given(p=json_values | st.integers(-1, 5), couplings=model_couplings)
+def test_model_raises_only_input_error(p, couplings):
+    _returns_or_input_error(lambda args: IsingModel(*args), (p, couplings),
+                            IsingModel, touch=("edges", "max_degree"))
+
+
+@FUZZ
+@given(spins=json_values | st.lists(st.sampled_from([1, -1, 1.0, -1.0, 2]),
+                                    max_size=3))
+def test_energy_exponent_raises_only_input_error(spins):
+    model = IsingModel(2, {(0, 1): 0.5})
+    _returns_or_input_error(lambda s: energy_exponent(model, s), spins, float)
 
 
 # A valid manifest with some fields dropped and up to two replaced by

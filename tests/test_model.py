@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from isinglearn import (CapabilityError, InputError, IsingModel, beta_d,
-                        covariance_floor_check, energy_exponent,
+                        covariance_floor_check, empirical_covariance,
+                        energy_exponent,
                         exact_distribution, exact_pair_covariance,
                         exact_probability, log_partition, make_grid_model,
                         make_random_model, model_from_json, model_to_json,
-                        population_gradient_moments, sample_exact,
+                        node_view, population_gradient_moments, sample_exact,
                         verification_report)
 from isinglearn import model as model_module
 from isinglearn import sampler as sampler_module
@@ -30,6 +31,38 @@ def test_canonicalizes_and_validates_edges():
         IsingModel(3, {(0, 1): math.inf})
     with pytest.raises(InputError):
         IsingModel(0, {})
+
+
+@pytest.mark.parametrize("p, couplings", [
+    (3, {(0, 1): "0.5"}), (3, {(0, 1): True}), (3, {(0, 1): b"1"}),
+    (3, {(0, 1): np.True_}), (3, {(0, 1): None}), (3, {(0, 1): 1 + 0j}),
+    (3, {(0, 1): 10 ** 400}), (3, {(0, 1): 1e308, (1, 2): -1e308}),
+    (True, {}), (3.0, {}), (3, {(True, 2): 0.5}), (3, {(0, 1.0): 0.5}),
+    (3, {5: 0.5}), (3, {(0, 1, 2): 0.5}), (3, {"01": 0.5}), (3, {b"\0\1": 0.5}),
+    (3, {(0, 1): 0.5, (1, 0): 0.2}), (3, {(-1, 1): 0.5}), (3, 5), (3, [(0, 1)])])
+def test_model_refuses_malformed_keys_and_couplings(p, couplings):
+    # Bools, strings and bytes are not numbers here, though float() and
+    # int arithmetic take them; every refusal is an InputError.
+    with pytest.raises(InputError):
+        IsingModel(p, couplings)
+
+
+def test_model_takes_numpy_endpoints_and_couplings():
+    m = IsingModel(np.int64(3), {(np.int64(2), np.uint8(0)): np.float32(0.5),
+                                 (np.int32(1), 2): np.int64(-2),
+                                 (0, 1): np.float64(0.25)})
+    assert m.p == 3 and type(m.p) is int
+    assert m.couplings == {(0, 2): 0.5, (1, 2): -2.0, (0, 1): 0.25}
+    assert all(type(i) is int and type(j) is int and type(t) is float
+               for (i, j), t in m.couplings.items())
+
+
+def test_equal_models_hash_alike():
+    a = make_grid_model(3, 0.5, "spin_glass", seed=3)
+    b = IsingModel(9, {(j, i): t for (i, j), t in reversed(a.couplings.items())})
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1 and len({IsingModel(2, {}), IsingModel(2)}) == 1
+    assert hash(a) != hash(IsingModel(9, {}))
 
 
 def test_degree_and_coupling_scales():
@@ -68,6 +101,19 @@ def test_adjacency_matches_a_scan_of_the_couplings():
     assert grid.neighbors(5) == [1, 4, 6, 9] and "_adjacency" in vars(grid)
 
 
+@pytest.mark.parametrize("u", [1.5, "1", True, -1, 4])
+def test_vertex_must_be_an_integer_in_range(u):
+    # One check serves the model's and the sample set's vertex queries.
+    m = make_grid_model(2, 0.5)
+    samples = sample_exact(m, 100, seed=1)
+    for query in (m.neighbors, m.coupling_row, m.degree,
+                  lambda v: node_view(samples, v),
+                  lambda v: empirical_covariance(samples, v),
+                  lambda v: exact_pair_covariance(m, v)):
+        with pytest.raises(InputError):
+            query(u)
+
+
 def test_energy_exponent_hand_value():
     m = IsingModel(3, {(0, 1): 0.5, (1, 2): -0.3})
     assert energy_exponent(m, [1, 1, 1]) == pytest.approx(0.2, abs=1e-15)
@@ -76,6 +122,16 @@ def test_energy_exponent_hand_value():
         energy_exponent(m, [1, 2, 1])
     with pytest.raises(InputError):
         energy_exponent(m, [1, 1])
+
+
+@pytest.mark.parametrize("spins", [["1", "-1"], [None, 1], [1 + 0j, -1],
+                                   [True, True], [1.0, -1.5], [[1, -1]]])
+def test_energy_exponent_refuses_non_spins(spins):
+    m = IsingModel(2, {(0, 1): 0.5})
+    with pytest.raises(InputError):
+        energy_exponent(m, spins)
+    with pytest.raises(InputError):
+        exact_probability(m, spins)
 
 
 def test_two_spin_closed_forms():

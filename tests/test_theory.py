@@ -179,6 +179,15 @@ def test_restricted_convexity_on_fresh_samples():
         restricted_convexity_check(view, m, 0, trials=0, seed=7)
 
 
+def test_restricted_convexity_refuses_another_vertex():
+    # The view's row is the one checked; a different u would pair it
+    # with another vertex's couplings.
+    m = make_grid_model(3, 0.4)
+    view = node_view(sample_exact(m, 2000, seed=3), 0)
+    with pytest.raises(InputError):
+        restricted_convexity_check(view, m, 4, trials=5, seed=7)
+
+
 def test_verification_report_passes_and_is_deterministic():
     m = make_grid_model(2, 0.4)
     a = verification_report(m, seed=123, n=5000, sets=60, rsc_trials=60)
