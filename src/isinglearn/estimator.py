@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .model import IsingModel
+from .model import IsingModel, _check_integer, _real
 from .sampler import Design, SampleSet
 from .screening import node_view
 from .solver import SolveReport, SolverConfig, minimize, minimize_rows
@@ -50,15 +50,13 @@ class EdgeSet:
 
 
 def _check_epsilon(epsilon: float):
-    if not 0.0 < epsilon < 1.0:
+    if not _real(epsilon) or not 0.0 < epsilon < 1.0:
         raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def lambda_schedule(p: int, n: int, epsilon: float, mode: str = "structure") -> float:
-    if p < 2:
-        raise InputError(f"p must be >= 2, got {p}")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    _check_integer(p, "p", 2)
+    _check_integer(n, "n", 1)
     _check_epsilon(epsilon)
     if mode == "node":
         arg = 3.0 * p / epsilon

@@ -39,7 +39,7 @@ from .errors import InputError
 from .estimator import (coupling_matrix, edges_from_estimates,
                         fit_all_nodes, fit_tallies, lambda_schedule,
                         perfect_recovery, square_error)
-from .model import IsingModel, make_grid_model
+from .model import IsingModel, _integer, _real, make_grid_model
 from .sampler import RNG_ALGORITHM, GlauberConfig, sample_exact, sample_glauber
 from .solver import SolverConfig
 
@@ -140,9 +140,7 @@ def _check_run_fields(manifest: ExperimentManifest):
     for name in _INTEGER_FIELDS + _NUMBER_FIELDS:
         value = getattr(manifest, name)
         integer = name in _INTEGER_FIELDS
-        kinds = (int, np.integer) if integer else (int, float, np.integer,
-                                                   np.floating)
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if not (_integer if integer else _real)(value):
             what = "an integer" if integer else "a number"
             raise InputError(f"manifest field {name} takes {what}, "
                              f"got {value!r}")

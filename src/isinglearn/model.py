@@ -38,6 +38,30 @@ def _integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not (
+        isinstance(v, bool))
+
+
+def _check_integer(v, name: str, least: int):
+    if not _integer(v) or v < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
+class _Couplings(dict):
+    """A model's couplings: a dict that refuses writes, so the model's
+    hash and cached adjacency cannot go stale."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a model's couplings are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = _refuse
+    setdefault = update = _refuse
+
+    def __reduce__(self):  # unpickling sets no items one at a time
+        return _Couplings, (dict(self),)
+
+
 def _canonical_couplings(couplings, p: int) -> dict[tuple[int, int], float]:
     """The couplings as {(i, j): theta}, i < j, checked in one pass: keys
     pairs of integers in range(p), no loops or repeats; couplings nonzero
@@ -60,9 +84,8 @@ def _canonical_couplings(couplings, p: int) -> dict[tuple[int, int], float]:
             raise InputError(f"self-loop {key!r}" if i == j else
                              f"edge {key!r} out of range for p={p}")
         if type(theta) is not float:
-            if (isinstance(theta, bool) or not isinstance(
-                    theta, (int, float, np.integer, np.floating))
-                    or isinstance(theta, int) and abs(theta) > sys.float_info.max):
+            if not _real(theta) or (isinstance(theta, int)
+                                    and abs(theta) > sys.float_info.max):
                 raise InputError(f"coupling of edge {key!r} must be a finite "
                                  f"real number, got {theta!r}")
             theta = float(theta)
@@ -75,21 +98,20 @@ def _canonical_couplings(couplings, p: int) -> dict[tuple[int, int], float]:
     # It bounds every energy; finite only if every coupling is.
     if not math.isfinite(total):
         raise InputError("couplings must be finite, with a finite sum")
-    return out
+    return _Couplings(out)
 
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Vertex count plus a map from canonical edges (i, j), i < j, to
-    nonzero coupling values. Treat instances as immutable; equal models
-    hash alike."""
+    """Vertex count plus a read-only dict from canonical edges (i, j),
+    i < j, to nonzero coupling values. Instances are immutable; equal
+    models hash alike."""
 
     p: int
     couplings: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not _integer(self.p) or self.p < 1:
-            raise InputError(f"p must be a positive integer, got {self.p!r}")
+        _check_integer(self.p, "p", 1)
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "couplings",
                            _canonical_couplings(self.couplings, self.p))
@@ -287,9 +309,8 @@ def make_grid_model(side: int, beta: float, kind: str = "ferromagnet",
     an independent uniform sign per canonical edge (reproducible per
     seed, signs assigned in lexicographic edge order).
     """
-    if side < 2:
-        raise InputError(f"grid side must be >= 2, got {side}")
-    if beta <= 0:
+    _check_integer(side, "grid side", 2)
+    if not _real(beta) or beta <= 0:
         raise InputError(f"coupling magnitude must be positive, got {beta}")
     if kind not in ("ferromagnet", "spin_glass"):
         raise InputError(f"unknown coupling kind {kind!r}")
@@ -307,6 +328,7 @@ def make_grid_model(side: int, beta: float, kind: str = "ferromagnet",
     else:
         if seed is None:
             raise InputError("spin_glass grids need a seed for the sign draw")
+        _check_integer(seed, "seed", 0)
         rng = np.random.default_rng(seed)
         signs = rng.integers(0, 2, size=len(ordered)) * 2 - 1
         couplings = {e: float(s) * beta for e, s in zip(ordered, signs)}
@@ -318,11 +340,11 @@ def make_random_model(p: int, edge_probability: float, alpha: float,
     """Random test model: each pair i < j (lexicographic order) is an
     edge with the given probability, coupling magnitude uniform on
     [alpha, beta], sign uniform."""
-    if p < 2:
-        raise InputError(f"p must be >= 2, got {p}")
-    if not 0.0 <= edge_probability <= 1.0:
+    _check_integer(p, "p", 2)
+    _check_integer(seed, "seed", 0)
+    if not _real(edge_probability) or not 0.0 <= edge_probability <= 1.0:
         raise InputError("edge_probability must lie in [0, 1]")
-    if not 0.0 < alpha <= beta < math.inf:
+    if not (_real(alpha) and _real(beta) and 0.0 < alpha <= beta < math.inf):
         raise InputError("need 0 < alpha <= beta < inf")
     rng = np.random.default_rng(seed)
     couplings = {}

@@ -5,9 +5,14 @@ enumerated distribution (p <= ENUMERATION_LIMIT) and a heat-bath
 Glauber chain for larger graphs. The chain updates one colour class of
 a greedy colouring at a time, in one numpy step; sites of a class share
 no edge, so this is exactly the single-site scan taken class by class
-(chromatic Gibbs sampling, Gonzalez et al. 2011). Both are
-deterministic given a seed; all randomness comes from numpy's PCG64
-generator (RNG_ALGORITHM below names it for output metadata).
+(chromatic Gibbs sampling, Gonzalez et al. 2011). An unfrustrated
+model's chain runs in segments advanced in lockstep, with the same rows:
+under a gauge g that makes every g_i g_j theta_ij positive the update
+is monotone, so the chains from g and -g fed a segment's uniforms bound
+every other, which is theirs once they agree (coupling from the past,
+Propp & Wilson 1996). Both samplers are deterministic given a seed; all
+randomness comes from numpy's PCG64 generator (RNG_ALGORITHM below
+names it for output metadata).
 
 A sample set holds its rows as configuration words, spin i in bit
 i % 64 of word i // 64 (for p <= 64 one word, the configuration
@@ -32,6 +37,7 @@ a chunk at a time, never decoding rows.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -42,7 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .model import IsingModel, _spin_array, configurations_from_indices
+from .model import (IsingModel, _check_integer, _spin_array,
+                    configurations_from_indices)
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -51,6 +58,13 @@ _MAGIC = b"ISNG"
 # Rows in one pass of file I/O (at most) and of a draw: a draw's chunk
 # stays in a 2 MB L2 cache beside a p = 16 model's 1 MB guide table.
 _CHUNK, _DRAW_CHUNK = 1 << 16, 1 << 14
+
+# Uniforms in a chunk of a chain, and most entries of a class's field
+# table: more would raise the peak memory, not speed.
+_CHAIN_ENTRIES = 1 << 15
+# Fewest sweeps a segment spans: bounds of the 10x10 torus at beta = 0.4
+# meet after a median of 73 sweeps, at most 215.
+_SEGMENT_SWEEPS = 256
 
 
 def _io_chunks(words: np.ndarray, bits: int) -> list[np.ndarray]:
@@ -201,19 +215,19 @@ class SampleSet:
 @dataclass
 class GlauberConfig:
     """Chain controls: warm-up sweeps, sweeps between recorded samples,
-    and the seed. Its stream gives the initial state, then one uniform
-    per (sweep, site), sweep-major: uniform (s, i) drives site i in
-    sweep s, wherever the class order visits i."""
+    and the seed, each an integer. Its stream gives the initial state,
+    then one uniform per (sweep, site), sweep-major: uniform (s, i)
+    drives site i in sweep s, wherever the class order visits i, and
+    whether or not the chain runs in segments."""
 
     seed: int
     burn_in_sweeps: int = 1000
     thinning_sweeps: int = 10
 
     def __post_init__(self):
-        if self.burn_in_sweeps < 0:
-            raise InputError("burn_in_sweeps must be >= 0")
-        if self.thinning_sweeps < 1:
-            raise InputError("thinning_sweeps must be >= 1")
+        _check_integer(self.seed, "seed", 0)
+        _check_integer(self.burn_in_sweeps, "burn_in_sweeps", 0)
+        _check_integer(self.thinning_sweeps, "thinning_sweeps", 1)
 
 
 def _check_memory(nbytes: int, what: str):
@@ -230,8 +244,8 @@ def _check_memory(nbytes: int, what: str):
 def sample_exact(model: IsingModel, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. configurations by inverse-CDF lookup on the full
     enumerated distribution, through the model's CDF and guide table."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    _check_integer(n, "n", 1)
+    _check_integer(seed, "seed", 0)
     # It holds its words and rows (8 + p bytes a row) and one chunk's
     # lookup (36 a row, all searched). Its tally bincounts (12 bytes a
     # configuration) or flips and sorts (17 a row), then decodes each
@@ -275,63 +289,196 @@ def _colour_classes(model: IsingModel) -> list[np.ndarray]:
     return [np.flatnonzero(colour == c) for c in range(colour.max() + 1)]
 
 
+def _gauge(model: IsingModel):
+    """Signs g with g_i g_j theta_ij > 0 on every edge, or None if the
+    model is frustrated (a cycle has an odd number of negative edges)."""
+    gauge = [0] * model.p
+    for root in range(model.p):
+        todo, gauge[root] = [root], gauge[root] or 1
+        for i in todo:
+            for j, theta in model._adjacency.get(i, {}).items():
+                sign = gauge[i] if theta > 0 else -gauge[i]
+                if gauge[j] == -sign:
+                    return None
+                if not gauge[j]:
+                    gauge[j] = sign
+                    todo.append(j)
+    return np.array(gauge)
+
+
+class _Chain:
+    """A heat-bath chain's class steps and rows. Spins are held class by
+    class, so each class is a slice written in place: order[k] is the
+    site at place k, at[i] the place of site i."""
+
+    def __init__(self, model: IsingModel, n: int, config: GlauberConfig):
+        self.burn_in, self.thin = config.burn_in_sweeps, config.thinning_sweeps
+        self.n, self.total = n, self.burn_in + n * self.thin
+        self.out = np.empty((n, model.p), dtype=np.int8)
+        classes = _colour_classes(model)
+        self.order = np.concatenate(classes)
+        self.at = np.argsort(self.order)
+        # Per class: its slice, its neighbours' places padded to the
+        # class's largest degree, and 2 * theta on them (0 on the padding).
+        # Lockstep runs read a table (None past _CHAIN_ENTRIES): site k's
+        # field at neighbour code b, at k 2^w + b, by the same vecdot, and
+        # its index, weights on the bits read in a two-sweep view (an
+        # earlier class's in the later sweep, then place p, always 1).
+        self.steps, self.tables, lo = [], [], 0
+        for sites in classes:
+            nbrs = [[(self.at[j], 2.0 * theta) for j, theta in
+                     model._adjacency.get(i, {}).items()] for i in sites]
+            width = max(map(len, nbrs))
+            rows = [r + [(0, 0.0)] * (width - len(r)) for r in nbrs]
+            where = np.array([[j for j, _ in r] for r in rows], dtype=np.intp)
+            weight = np.array([[w for _, w in r] for r in rows])
+            sl, lo = slice(lo, lo + sites.size), lo + sites.size
+            self.steps.append((sl, where, weight))
+            if sites.size << width > _CHAIN_ENTRIES:
+                self.tables.append(None)
+                continue
+            bits = np.arange(1 << width)[:, None] >> np.arange(width) & 1
+            self.tables.append((sl, np.c_[
+                where + (model.p + 1) * (where < sl.start),
+                np.full(sites.size, model.p)], np.c_[
+                np.tile(1 << np.arange(width), (sites.size, 1)),
+                np.arange(sites.size) << width].astype(np.int16),
+                np.vecdot(weight[:, None], bits * 2.0 - 1).ravel()))
+
+    def run(self, state: np.ndarray, rng):
+        """The whole chain from state (+/-1 floats by place), one class
+        step at a time, with rng's uniforms."""
+        p, burn_in, thin, out, at = (len(state), self.burn_in, self.thin,
+                                     self.out, self.at)
+        # 2^15 uniforms a chunk: more would raise the peak memory, not speed.
+        chunk = max(1, _CHAIN_ENTRIES // p)
+        for start in range(0, self.total, chunk):
+            u = rng.random((min(chunk, self.total - start), p))
+            with np.errstate(divide="ignore"):  # logit(0) = -inf
+                logits = np.log(u)
+                logits -= np.log1p(np.negative(u, out=u), out=u)
+            logits = logits[:, self.order]
+            # copysign never gives 0 (np.sign would, at a tie), and takes
+            # an array of ones faster than the scalar 1.
+            blocks = [(state[c], where, weight, logits[:, c],
+                       np.ones(c.stop - c.start)) for c, where, weight in
+                      self.steps]
+            for s in range(len(u)):
+                for view, where, weight, logit, one in blocks:
+                    np.copysign(one, np.vecdot(weight, state[where])
+                                - logit[s], out=view)
+                after = start + s + 1 - burn_in
+                if after > 0 and after % thin == 0:
+                    out[after // thin - 1] = state[at]
+            del u, logits, blocks, logit  # before the next chunk's, the words
+
+    def lockstep(self, state: np.ndarray, gens: list, sweeps: int,
+                 first: np.ndarray | None = None) -> np.ndarray:
+        """The lanes of state, bits by place ((p + 1) x h x K, place p
+        always 1), each column's on its generator's uniforms, a sweep on:
+        a site goes up iff its field >= its logit, the kernel's copysign
+        as no field is -0. Given first, lane (0, k)'s rows are recorded,
+        its sweeps counted from first[k]. Returns the last states."""
+        p, lanes = len(self.at), state.shape[1:]
+        u = np.empty((len(gens), sweeps, p))
+        for gen, block in zip(gens, u):
+            gen.random(out=block)
+        with np.errstate(divide="ignore"):
+            logits = np.log(u)
+            logits -= np.log1p(np.negative(u, out=u), out=u)
+        del u, block  # before the logits are put in place order
+        logits = logits[:, :, self.order].transpose(1, 2, 0)[:, :, None]
+        states = np.empty((sweeps + 1,) + state.shape, dtype=np.int16)
+        states[0], states[1:, p] = state, 1
+        for t in range(sweeps):
+            view = states[t:t + 2].reshape(2 * p + 2, *lanes)
+            for sl, read, index, fields in self.tables:
+                code = np.einsum("ij,ij...->i...", index, view.take(read, 0))
+                np.greater_equal(fields.take(code), logits[t, sl],
+                                 out=states[t + 1, sl])
+        if first is not None:
+            after = first + np.arange(1, sweeps + 1)[:, None] - self.burn_in
+            t, k = np.nonzero((after > 0) & (after % self.thin == 0)
+                              & (after <= self.n * self.thin))
+            rows = states[1:, :p, 0].swapaxes(1, 2)[t, k][:, self.at]
+            self.out[after[t, k] // self.thin - 1] = rows * 2 - 1
+        return states[-1]
+
+    def segmented(self, model: IsingModel, initial: np.ndarray, rng) -> bool:
+        """Run the chain in segments (see sample_glauber) from initial
+        (+/-1 by site), rng at its first uniform; False, rng untouched,
+        where they do not apply."""
+        p, total = model.p, self.total
+        # Chunks then hold about 8 sweeps or more and 128 uniforms a
+        # generator or more: a class step's temporaries stay small and
+        # its calls few.
+        count = min(total // _SEGMENT_SWEEPS, _CHAIN_ENTRIES // max(8 * p, 128))
+        if (count < 4 or None in self.tables
+                or (gauge := _gauge(model)) is None):
+            return False
+        span, chunk = -(-total // count), _CHAIN_ENTRIES // ((count + 1) * p)
+        gens = [np.random.Generator(copy.copy(rng.bit_generator).advance(
+            k * span * p)) for k in range(count)]
+        # Column k holds segment k's bounds, from the gauge and its
+        # negation, until they agree; its generator then stays there.
+        upper = np.r_[gauge[self.order] > 0, True]
+        state = np.stack([upper, ~upper], 1)[:, :, None].repeat(count, 2)
+        state[p], ids, met = 1, np.arange(count), {}
+        for start in range(0, span, chunk):
+            end = min(start + chunk, span)
+            state = self.lockstep(state, [gens[k] for k in ids], end - start)
+            agree = (state[:, 0] == state[:, 1]).all(axis=0)
+            met.update((k, (end, s)) for k, s in
+                       zip(ids[agree], state[:, 0, agree].T))
+            if not met and 8 * end >= span:
+                return False
+            state, ids = state[..., ~agree], ids[~agree]
+            if not ids.size:
+                break
+        # From there each is the chain, and runs on through the segments
+        # after it to the next such point; the first runs from initial.
+        ks = sorted(met)
+        first = np.array([0] + [k * span + met[k][0] for k in ks])
+        last = np.r_[first[1:], total]
+        state = np.stack([np.r_[initial[self.order] > 0, 1]]
+                         + [met[k][1] for k in ks], axis=1)[:, None]
+        gens, length = [rng] + [gens[k] for k in ks], (last - first).max()
+        for t in range(0, length, chunk):
+            state = self.lockstep(state, gens, min(chunk, length - t), first + t)
+            live = first + t + chunk < last
+            state, first, last = state[..., live], first[live], last[live]
+            gens = [gen for gen, keep in zip(gens, live) if keep]
+        return True
+
+
 def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSet:
     """Run one heat-bath chain and record a sample every thinning_sweeps
     sweeps after the warm-up. A sweep updates the classes of
     _colour_classes in order, one step each: site i goes up iff
     2 h_i - logit(u) >= 0 for its uniform u, h_i = sum_j theta_ij sigma_j,
-    that is with probability 1 / (1 + exp(-2 h_i))."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    that is with probability 1 / (1 + exp(-2 h_i)).
+
+    An unfrustrated model's chain of 4 * _SEGMENT_SWEEPS sweeps or more,
+    with field tables within _CHAIN_ENTRIES, runs in K equal segments,
+    K <= 2^15 / max(8 p, 128). A lockstep pass runs each segment's
+    bounds on its own copy of the stream until they agree at a chunk
+    end, or the segment ends; if none have met at the first chunk end an
+    eighth of the way in, the kernel runs the chain instead. A second
+    runs the chain from the start and from each such point to the next,
+    so a segment whose bounds never met runs in the piece before it.
+    The rows are the kernel's, bit for bit."""
+    _check_integer(n, "n", 1)
     p = model.p
     # The rows and words, the chain's state, spins and site order, and 4
     # arrays of a chunk's 2^15 uniforms (or one row), for logits or packing.
-    _check_memory(n * (p + 8 * -(-p // 64)) + 32 * (p + max(p, 1 << 15)),
+    _check_memory(n * (p + 8 * -(-p // 64)) + 32 * (p + max(p, _CHAIN_ENTRIES)),
                   f"{n} Glauber samples of p={p}")
     rng = np.random.default_rng(config.seed)
     spins = rng.integers(0, 2, size=p) * 2 - 1
-    classes = _colour_classes(model)
-    # Spins are held class by class, so each class is a slice written in
-    # place: order[k] is the site at place k, at[i] the place of site i.
-    order = np.concatenate(classes)
-    at = np.argsort(order)
-    state = spins[order].astype(np.float64)
-    # Per class: its slice, its neighbours' places padded to the class's
-    # largest degree, and 2 * theta on them (0 on the padding).
-    steps, lo = [], 0
-    for sites in classes:
-        nbrs = [[(at[j], 2.0 * theta) for j, theta in
-                 model._adjacency.get(i, {}).items()] for i in sites]
-        width = max(map(len, nbrs))
-        rows = [r + [(0, 0.0)] * (width - len(r)) for r in nbrs]
-        steps.append((slice(lo, lo + sites.size),
-                      np.array([[j for j, _ in r] for r in rows], dtype=np.intp),
-                      np.array([[w for _, w in r] for r in rows])))
-        lo += sites.size
-    burn_in, thin = config.burn_in_sweeps, config.thinning_sweeps
-    total = burn_in + n * thin
-    out = np.empty((n, p), dtype=np.int8)
-    # 2^15 uniforms a chunk: more would raise the peak memory, not speed.
-    chunk = max(1, (1 << 15) // p)
-    for start in range(0, total, chunk):
-        u = rng.random((min(chunk, total - start), p))
-        with np.errstate(divide="ignore"):  # logit(0) = -inf
-            logits = np.log(u)
-            logits -= np.log1p(np.negative(u, out=u), out=u)
-        logits = logits[:, order]
-        # copysign never gives 0 (np.sign would, at a tie), and takes an
-        # array of ones faster than the scalar 1.
-        blocks = [(state[c], where, weight, logits[:, c],
-                   np.ones(c.stop - c.start)) for c, where, weight in steps]
-        for s in range(len(u)):
-            for view, where, weight, logit, one in blocks:
-                np.copysign(one, np.vecdot(weight, state[where]) - logit[s],
-                            out=view)
-            after = start + s + 1 - burn_in
-            if after > 0 and after % thin == 0:
-                out[after // thin - 1] = state[at]
-        del u, logits, blocks, logit  # before the next chunk's, the words
-    return SampleSet(p, n, out)
+    chain = _Chain(model, n, config)
+    if not chain.segmented(model, spins, rng):
+        chain.run(spins[chain.order].astype(np.float64), rng)
+    return SampleSet(p, n, chain.out)
 
 
 def write_samples_text(samples: SampleSet, path):

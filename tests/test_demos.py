@@ -13,10 +13,8 @@ import isinglearn
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# Demo 01 is left out: it spends 7-9 s in a 501k-sweep Glauber
-# chain and uses only the model and sampler API, which the sampler
-# tests cover.
 @pytest.mark.parametrize("name", [
+    "01_models_and_sampling.py",
     "02_screening_loss_and_solver.py",
     "03_structure_recovery.py",
     "04_theory_and_verification.py",

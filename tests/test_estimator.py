@@ -45,6 +45,15 @@ def test_lambda_schedule_orderings():
         lambda_schedule(4, 100, 0.1, mode="both")
 
 
+@pytest.mark.parametrize("p, n, epsilon", [
+    (4, 10, "0.1"), (4, 10.5, 0.1), (4.0, 10, 0.1), (4, True, 0.1),
+    (4, 10, True), (4, "10", 0.1)])
+def test_lambda_schedule_refuses_bad_scalars(p, n, epsilon):
+    # A string used to end in a bare TypeError, and floats were taken.
+    with pytest.raises(InputError):
+        lambda_schedule(p, n, epsilon)
+
+
 def test_fit_node_on_edgeless_model_stays_small():
     # True couplings are all zero; the penalized estimate must stay
     # within a couple of penalty widths of the origin.

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -63,6 +66,34 @@ def test_equal_models_hash_alike():
     assert a == b and a is not b and hash(a) == hash(b)
     assert len({a: 1, b: 2}) == 1 and len({IsingModel(2, {}), IsingModel(2)}) == 1
     assert hash(a) != hash(IsingModel(9, {}))
+
+
+def test_couplings_are_read_only():
+    # A write used to get past every check and leave the cached
+    # adjacency and the hash stale: neighbors(2) == [], max_degree == 1,
+    # and the model no longer found in a dict it keyed.
+    m = IsingModel(3, {(0, 1): 0.5})
+    d = {m: 1}
+    assert m.neighbors(0) == [1]
+    for write in (lambda c: c.__setitem__((1, 2), 0.0),
+                  lambda c: c.__delitem__((0, 1)), lambda c: c.clear(),
+                  lambda c: c.pop((0, 1)), lambda c: c.popitem(),
+                  lambda c: c.setdefault((0, 2), "x"),
+                  lambda c: c.update({(0, 2): 1.0}),
+                  lambda c: c.__ior__({(0, 2): 1.0})):
+        with pytest.raises(TypeError, match="read-only"):
+            write(m.couplings)
+    assert m.couplings == {(0, 1): 0.5} and dict(m.couplings) == {(0, 1): 0.5}
+    assert m.neighbors(2) == [] and m.neighbors(1) == [0]
+    assert m.max_degree == 1 and m in d
+    for other in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert other == m and hash(other) == hash(m) and d[other] == 1
+        assert other.couplings == {(0, 1): 0.5}
+        with pytest.raises(TypeError):
+            other.couplings[(1, 2)] = 1.0
+    assert m.couplings | {(1, 2): 1.0} == {(0, 1): 0.5, (1, 2): 1.0}
+    assert dataclasses.asdict(m) == {"p": 3, "couplings": {(0, 1): 0.5}}
+    assert repr(m) == "IsingModel(p=3, couplings={(0, 1): 0.5})"
 
 
 def test_degree_and_coupling_scales():
@@ -252,6 +283,26 @@ def test_grid_model_shapes():
     assert all(g4.degree(u) == 4 for u in range(16))
     with pytest.raises(InputError):
         make_grid_model(1, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_grid_model(3, "0.5"),
+    lambda: make_grid_model(2.5, 0.5),
+    lambda: make_grid_model(3.0, 0.5),
+    lambda: make_grid_model(True, 0.5),
+    lambda: make_grid_model(3, True),
+    lambda: make_grid_model(3, 0.5, "spin_glass", seed="1"),
+    lambda: make_random_model(5, 0.5, 0.1, 0.5, seed="x"),
+    lambda: make_random_model(5, 0.5, 0.1, 0.5, seed=1.5),
+    lambda: make_random_model(5.0, 0.5, 0.1, 0.5, seed=1),
+    lambda: make_random_model(5, "0.5", 0.1, 0.5, seed=1),
+], ids=["beta-str", "side-float", "side-integral-float", "side-bool",
+        "beta-bool", "glass-seed-str", "random-seed-str", "random-seed-float",
+        "random-p-float", "random-probability-str"])
+def test_generators_refuse_bad_scalars(call):
+    # Each of these used to end in a bare TypeError or be accepted.
+    with pytest.raises(InputError):
+        call()
 
 
 def test_spin_glass_signs_reproducible():

@@ -140,6 +140,31 @@ def test_glauber_config_validation():
         sample_glauber(make_grid_model(2, 0.5), 0, GlauberConfig(seed=1))
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: GlauberConfig(seed=1, burn_in_sweeps="3"),
+    lambda m: GlauberConfig(seed=1, thinning_sweeps=1.5),
+    lambda m: GlauberConfig(seed=1, thinning_sweeps=2.0),
+    lambda m: GlauberConfig(seed="1"),
+    lambda m: GlauberConfig(seed=True),
+    lambda m: GlauberConfig(seed=-1),
+    lambda m: sample_glauber(m, 10.5, GlauberConfig(seed=1)),
+    lambda m: sample_glauber(m, "10", GlauberConfig(seed=1)),
+    lambda m: sample_exact(m, "10", seed=1),
+    lambda m: sample_exact(m, 10.5, seed=1),
+    lambda m: sample_exact(m, True, seed=1),
+    lambda m: sample_exact(m, 10, seed="1"),
+    lambda m: sample_exact(m, 10, seed=-1),
+], ids=["burn-in-str", "thinning-float", "thinning-integral-float",
+        "seed-str", "seed-bool", "seed-negative", "glauber-n-float",
+        "glauber-n-str", "exact-n-str", "exact-n-float", "exact-n-bool",
+        "exact-seed-str", "exact-seed-negative"])
+def test_samplers_refuse_bad_scalars(call):
+    # Each of these used to be accepted, failing later or never, or to
+    # end in a bare TypeError or ValueError.
+    with pytest.raises(InputError):
+        call(make_grid_model(2, 0.5))
+
+
 def test_empirical_covariance_properties():
     m = make_grid_model(3, 0.6)
     s = sample_exact(m, 20000, seed=13)
@@ -268,6 +293,97 @@ def test_glauber_matches_sequential_scan(model, colours):
     config = GlauberConfig(seed=7, burn_in_sweeps=20, thinning_sweeps=3)
     s = sample_glauber(model, 120, config)
     assert np.array_equal(s.data, _sequential_glauber(model, 120, config))
+
+
+@pytest.fixture
+def chain_runs(monkeypatch):
+    """The lanes (h, K) of each lockstep run, and whether it recorded
+    rows, and the number of whole-chain kernel runs that sample_glauber
+    makes, in call order."""
+    runs = {"lockstep": [], "kernel": 0}
+    lockstep, kernel = sampler_module._Chain.lockstep, sampler_module._Chain.run
+
+    def counting_lockstep(self, state, gens, sweeps, first=None):
+        runs["lockstep"].append((state.shape[1:], first is not None))
+        return lockstep(self, state, gens, sweeps, first)
+
+    def counting_kernel(self, state, rng):
+        runs["kernel"] += 1
+        return kernel(self, state, rng)
+
+    monkeypatch.setattr(sampler_module._Chain, "lockstep", counting_lockstep)
+    monkeypatch.setattr(sampler_module._Chain, "run", counting_kernel)
+    return runs
+
+
+@pytest.mark.parametrize("model, colours, n, config", [
+    (make_grid_model(10, 0.4), 2, 500,
+     GlauberConfig(seed=3, burn_in_sweeps=24, thinning_sweeps=2)),
+    (make_grid_model(3, 0.5), 4, 400,
+     GlauberConfig(seed=7, burn_in_sweeps=30, thinning_sweeps=3)),
+    (IsingModel(4, {(0, 1): -0.7, (1, 2): 0.5, (2, 3): -0.9}), 2, 1100,
+     GlauberConfig(seed=5, burn_in_sweeps=0, thinning_sweeps=1)),
+    (IsingModel(5, {}), 1, 600,
+     GlauberConfig(seed=9, burn_in_sweeps=7, thinning_sweeps=2)),
+], ids=["torus-10x10", "torus-3x3", "mixed-sign-tree", "edgeless"])
+def test_segmented_chain_matches_sequential_scan(chain_runs, model, colours,
+                                                 n, config):
+    # Long enough for 4 segments of _SEGMENT_SWEEPS: the bounds of every
+    # segment, then the pieces of the chain from the points where they
+    # met, run in lockstep and give the one-site-at-a-time chain's rows.
+    assert len(_colour_classes(model)) == colours
+    s = sample_glauber(model, n, config)
+    total = config.burn_in_sweeps + n * config.thinning_sweeps
+    assert total >= 4 * sampler_module._SEGMENT_SWEEPS
+    runs = chain_runs["lockstep"]
+    assert runs[0] == ((2, 4), False) and ((1, 5), True) in runs
+    assert chain_runs["kernel"] == 0
+    assert np.array_equal(s.data, _sequential_glauber(model, n, config))
+
+
+def test_chain_whose_bounds_never_meet_runs_on_the_kernel(chain_runs):
+    # At beta = 0.6 the 6x6 torus is ordered: its bounding chains stay
+    # apart, the pass stops an eighth of the way in, and the whole chain
+    # runs on the kernel.
+    model = make_grid_model(6, 0.6)
+    config = GlauberConfig(seed=1, burn_in_sweeps=200, thinning_sweeps=2)
+    s = sample_glauber(model, 500, config)
+    assert chain_runs["lockstep"] and chain_runs["kernel"] == 1
+    assert not any(recorded for _, recorded in chain_runs["lockstep"])
+    assert np.array_equal(s.data, _sequential_glauber(model, 500, config))
+
+
+def test_segments_that_never_meet_run_in_the_piece_before(chain_runs,
+                                                          monkeypatch):
+    # With 16-sweep segments the bounds of some of the 3x3 torus's 75
+    # segments meet and some do not; a piece of the chain then runs on
+    # through every segment up to the next point where bounds met.
+    monkeypatch.setattr(sampler_module, "_SEGMENT_SWEEPS", 16)
+    model = make_grid_model(3, 0.4)
+    config = GlauberConfig(seed=7, burn_in_sweeps=0, thinning_sweeps=4)
+    s = sample_glauber(model, 300, config)
+    runs = chain_runs["lockstep"]
+    pieces = next(lanes[1] for lanes, recorded in runs if recorded)
+    assert runs[0] == ((2, 75), False) and 1 < pieces < 76
+    assert chain_runs["kernel"] == 0
+    assert np.array_equal(s.data, _sequential_glauber(model, 300, config))
+
+
+def test_eligible_chain_stays_within_its_charge(chain_runs, monkeypatch):
+    # The lockstep runs hold a chunk of at most _CHAIN_ENTRIES uniforms
+    # for all segments at once, and their states, within the charge.
+    charges = []
+    monkeypatch.setattr(sampler_module, "_check_memory",
+                        lambda nbytes, what: charges.append(nbytes))
+    config = GlauberConfig(seed=2, burn_in_sweeps=200, thinning_sweeps=2)
+    for model, n in [(make_grid_model(10, 0.4), 5000),
+                     (make_grid_model(3, 0.5), 2000),
+                     (IsingModel(4, {(0, 1): 0.5, (1, 2): 0.5}), 500)]:
+        sample_glauber(model, 8, config)  # imports, on the kernel
+        kernel_runs = chain_runs["kernel"]
+        peak = _traced_peak(lambda: sample_glauber(model, n, config).data)
+        assert peak <= charges[-1], (model.p, peak, charges[-1])
+        assert chain_runs["kernel"] == kernel_runs
 
 
 def test_colour_classes_are_proper_and_cover_every_site():
