@@ -5,12 +5,12 @@ enumerated distribution (p <= ENUMERATION_LIMIT) and a heat-bath
 Glauber chain for larger graphs. The chain updates one colour class of
 a greedy colouring at a time, in one numpy step; sites of a class share
 no edge, so this is exactly the single-site scan taken class by class
-(chromatic Gibbs sampling, Gonzalez et al. 2011). An unfrustrated
-model's chain runs in segments advanced in lockstep, with the same rows:
-under a gauge g that makes every g_i g_j theta_ij positive the update
-is monotone, so the chains from g and -g fed a segment's uniforms bound
-every other, which is theirs once they agree (coupling from the past,
-Propp & Wilson 1996). Both samplers are deterministic given a seed; all
+(chromatic Gibbs sampling, Gonzalez et al. 2011). A chain whose class
+tables fit runs in segments advanced in lockstep, with the same rows:
+a bounding chain fed a segment's uniforms holds, site by site, the
+highest and lowest spin of every chain fed them (Huber 2004), so once
+its bounds agree every chain is there (coupling from the past, Propp &
+Wilson 1996). Both samplers are deterministic given a seed; all
 randomness comes from numpy's PCG64 generator (RNG_ALGORITHM below
 names it for output metadata).
 
@@ -37,7 +37,6 @@ a chunk at a time, never decoding rows.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import struct
@@ -289,23 +288,6 @@ def _colour_classes(model: IsingModel) -> list[np.ndarray]:
     return [np.flatnonzero(colour == c) for c in range(colour.max() + 1)]
 
 
-def _gauge(model: IsingModel):
-    """Signs g with g_i g_j theta_ij > 0 on every edge, or None if the
-    model is frustrated (a cycle has an odd number of negative edges)."""
-    gauge = [0] * model.p
-    for root in range(model.p):
-        todo, gauge[root] = [root], gauge[root] or 1
-        for i in todo:
-            for j, theta in model._adjacency.get(i, {}).items():
-                sign = gauge[i] if theta > 0 else -gauge[i]
-                if gauge[j] == -sign:
-                    return None
-                if not gauge[j]:
-                    gauge[j] = sign
-                    todo.append(j)
-    return np.array(gauge)
-
-
 class _Chain:
     """A heat-bath chain's class steps and rows. Spins are held class by
     class, so each class is a slice written in place: order[k] is the
@@ -323,7 +305,9 @@ class _Chain:
         # Lockstep runs read a table (None past _CHAIN_ENTRIES): site k's
         # field at neighbour code b, at k 2^w + b, by the same vecdot, and
         # its index, weights on the bits read in a two-sweep view (an
-        # earlier class's in the later sweep, then place p, always 1).
+        # earlier class's in the later sweep, then place p, always 1), by
+        # place, or by place and lane: the upper bound reads the upper
+        # lane where theta > 0, the lower where theta < 0, and vice versa.
         self.steps, self.tables, lo = [], [], 0
         for sites in classes:
             nbrs = [[(self.at[j], 2.0 * theta) for j, theta in
@@ -338,9 +322,11 @@ class _Chain:
                 self.tables.append(None)
                 continue
             bits = np.arange(1 << width)[:, None] >> np.arange(width) & 1
-            self.tables.append((sl, np.c_[
-                where + (model.p + 1) * (where < sl.start),
-                np.full(sites.size, model.p)], np.c_[
+            read = np.c_[where + (model.p + 1) * (where < sl.start),
+                         np.full(sites.size, model.p)][..., None]
+            sign = np.c_[weight, np.zeros(sites.size)][..., None]
+            reads = read, 2 * read + np.c_[sign < 0, sign > 0]
+            self.tables.append((sl, reads, np.c_[
                 np.tile(1 << np.arange(width), (sites.size, 1)),
                 np.arange(sites.size) << width].astype(np.int16),
                 np.vecdot(weight[:, None], bits * 2.0 - 1).ravel()))
@@ -377,9 +363,10 @@ class _Chain:
         """The lanes of state, bits by place ((p + 1) x h x K, place p
         always 1), each column's on its generator's uniforms, a sweep on:
         a site goes up iff its field >= its logit, the kernel's copysign
-        as no field is -0. Given first, lane (0, k)'s rows are recorded,
-        its sweeps counted from first[k]. Returns the last states."""
-        p, lanes = len(self.at), state.shape[1:]
+        as no field is -0; two lanes are the upper and lower bounds. Given
+        first, lane (0, k)'s rows are recorded, its sweeps counted from
+        first[k]. Returns the last states."""
+        p, (h, count) = len(self.at), state.shape[1:]
         u = np.empty((len(gens), sweeps, p))
         for gen, block in zip(gens, u):
             gen.random(out=block)
@@ -391,9 +378,10 @@ class _Chain:
         states = np.empty((sweeps + 1,) + state.shape, dtype=np.int16)
         states[0], states[1:, p] = state, 1
         for t in range(sweeps):
-            view = states[t:t + 2].reshape(2 * p + 2, *lanes)
-            for sl, read, index, fields in self.tables:
-                code = np.einsum("ij,ij...->i...", index, view.take(read, 0))
+            view = states[t:t + 2].reshape(-1, count)
+            for sl, reads, index, fields in self.tables:
+                code = np.einsum("ij,ij...->i...", index,
+                                 view.take(reads[h - 1], 0))
                 np.greater_equal(fields.take(code), logits[t, sl],
                                  out=states[t + 1, sl])
         if first is not None:
@@ -404,26 +392,28 @@ class _Chain:
             self.out[after[t, k] // self.thin - 1] = rows * 2 - 1
         return states[-1]
 
-    def segmented(self, model: IsingModel, initial: np.ndarray, rng) -> bool:
+    def segmented(self, initial: np.ndarray, rng) -> bool:
         """Run the chain in segments (see sample_glauber) from initial
         (+/-1 by site), rng at its first uniform; False, rng untouched,
         where they do not apply."""
-        p, total = model.p, self.total
+        p, total = len(self.at), self.total
         # Chunks then hold about 8 sweeps or more and 128 uniforms a
         # generator or more: a class step's temporaries stay small and
         # its calls few.
         count = min(total // _SEGMENT_SWEEPS, _CHAIN_ENTRIES // max(8 * p, 128))
-        if (count < 4 or None in self.tables
-                or (gauge := _gauge(model)) is None):
+        if count < 4 or None in self.tables:
             return False
         span, chunk = -(-total // count), _CHAIN_ENTRIES // ((count + 1) * p)
-        gens = [np.random.Generator(copy.copy(rng.bit_generator).advance(
-            k * span * p)) for k in range(count)]
-        # Column k holds segment k's bounds, from the gauge and its
-        # negation, until they agree; its generator then stays there.
-        upper = np.r_[gauge[self.order] > 0, True]
-        state = np.stack([upper, ~upper], 1)[:, :, None].repeat(count, 2)
-        state[p], ids, met = 1, np.arange(count), {}
+        # Copies of rng by state: copy.copy seeds from OS entropy first.
+        gens, origin = [], rng.bit_generator.state
+        for k in range(count):
+            gens.append(np.random.Generator(np.random.PCG64(0)))
+            gens[k].bit_generator.state = origin
+            gens[k].bit_generator.advance(k * span * p)
+        # Column k holds segment k's bounds, from all up and all down,
+        # until they agree; its generator then stays there.
+        state = np.zeros((p + 1, 2, count), dtype=np.int16)
+        state[:, 0], state[p], ids, met = 1, 1, np.arange(count), {}
         for start in range(0, span, chunk):
             end = min(start + chunk, span)
             state = self.lockstep(state, [gens[k] for k in ids], end - start)
@@ -440,9 +430,12 @@ class _Chain:
         ks = sorted(met)
         first = np.array([0] + [k * span + met[k][0] for k in ks])
         last = np.r_[first[1:], total]
+        # A piece runs at about half the kernel's speed a sweep.
+        if 2 * (length := (last - first).max()) > total:
+            return False
         state = np.stack([np.r_[initial[self.order] > 0, 1]]
                          + [met[k][1] for k in ks], axis=1)[:, None]
-        gens, length = [rng] + [gens[k] for k in ks], (last - first).max()
+        gens = [rng] + [gens[k] for k in ks]
         for t in range(0, length, chunk):
             state = self.lockstep(state, gens, min(chunk, length - t), first + t)
             live = first + t + chunk < last
@@ -458,15 +451,16 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
     2 h_i - logit(u) >= 0 for its uniform u, h_i = sum_j theta_ij sigma_j,
     that is with probability 1 / (1 + exp(-2 h_i)).
 
-    An unfrustrated model's chain of 4 * _SEGMENT_SWEEPS sweeps or more,
-    with field tables within _CHAIN_ENTRIES, runs in K equal segments,
+    Any model's chain of 4 * _SEGMENT_SWEEPS sweeps or more, with field
+    tables within _CHAIN_ENTRIES, runs in K equal segments,
     K <= 2^15 / max(8 p, 128). A lockstep pass runs each segment's
-    bounds on its own copy of the stream until they agree at a chunk
-    end, or the segment ends; if none have met at the first chunk end an
-    eighth of the way in, the kernel runs the chain instead. A second
-    runs the chain from the start and from each such point to the next,
-    so a segment whose bounds never met runs in the piece before it.
-    The rows are the kernel's, bit for bit."""
+    bounding chain, from all up and all down, on its own copy of the
+    stream until its bounds agree at a chunk end, or the segment ends.
+    A second runs the chain from the start and from each such point to
+    the next, so a segment whose bounds never met runs in the piece
+    before it. The kernel runs the chain instead if no bounds have met
+    at the first chunk end an eighth of the way in, or if a piece would
+    span more than half the chain. The rows are the kernel's, bit for bit."""
     _check_integer(n, "n", 1)
     p = model.p
     # The rows and words, the chain's state, spins and site order, and 4
@@ -476,7 +470,7 @@ def sample_glauber(model: IsingModel, n: int, config: GlauberConfig) -> SampleSe
     rng = np.random.default_rng(config.seed)
     spins = rng.integers(0, 2, size=p) * 2 - 1
     chain = _Chain(model, n, config)
-    if not chain.segmented(model, spins, rng):
+    if not chain.segmented(spins, rng):
         chain.run(spins[chain.order].astype(np.float64), rng)
     return SampleSet(p, n, chain.out)
 

@@ -113,20 +113,26 @@ def evaluate_rows(design: Design, rows: np.ndarray, theta: np.ndarray,
     # |z| <= ||theta[i]||_1 on +/-1 configurations, so rows below half
     # the limit cannot reach it and skip the check.
     risky = np.abs(theta).sum(axis=1) > LINEAR_FORM_LIMIT / 2
-    check = risky.any()
+    check, zero = risky.any(), not theta.any()
     negated = -theta
     block = max(1, _BLOCK_ENTRIES // max(len(rows), spins.shape[0]))
     for lo in range(0, spins.shape[1], block):
         c = spins[:, lo:lo + block].astype(np.float64)
-        e = negated @ c
         if weights.ndim == 1:  # a table's focal vertex 0 is +1 throughout
             focal = c[rows]
-            e *= focal
-        if check:
-            saturated |= risky & (np.abs(e).max(axis=1) > LINEAR_FORM_LIMIT)
-            np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
-        np.exp(e, out=e)
-        e *= weights[stack, lo:lo + block]
+        if zero:  # exp(0) = 1: each term is its weight
+            e = np.broadcast_to(weights[stack, lo:lo + block],
+                                (len(rows), c.shape[1])).copy()
+        else:
+            e = negated @ c
+            if weights.ndim == 1:
+                e *= focal
+            if check:
+                saturated |= risky & (np.abs(e).max(axis=1)
+                                      > LINEAR_FORM_LIMIT)
+                np.clip(e, -LINEAR_FORM_LIMIT, LINEAR_FORM_LIMIT, out=e)
+            np.exp(e, out=e)
+            e *= weights[stack, lo:lo + block]
         # Along the contiguous axis numpy sums pairwise, which keeps the
         # rounding far below the solver's 1e-15 slack.
         values = values + e.sum(axis=1)

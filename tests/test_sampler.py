@@ -325,7 +325,12 @@ def chain_runs(monkeypatch):
      GlauberConfig(seed=5, burn_in_sweeps=0, thinning_sweeps=1)),
     (IsingModel(5, {}), 1, 600,
      GlauberConfig(seed=9, burn_in_sweeps=7, thinning_sweeps=2)),
-], ids=["torus-10x10", "torus-3x3", "mixed-sign-tree", "edgeless"])
+    (make_grid_model(10, 0.3, "spin_glass", seed=1), 2, 500,
+     GlauberConfig(seed=3, burn_in_sweeps=24, thinning_sweeps=2)),
+    (make_random_model(40, 0.1, 0.2, 0.35, seed=5), 4, 500,
+     GlauberConfig(seed=3, burn_in_sweeps=24, thinning_sweeps=2)),
+], ids=["torus-10x10", "torus-3x3", "mixed-sign-tree", "edgeless",
+        "glass-10x10", "random-40"])
 def test_segmented_chain_matches_sequential_scan(chain_runs, model, colours,
                                                  n, config):
     # Long enough for 4 segments of _SEGMENT_SWEEPS: the bounds of every
@@ -351,6 +356,42 @@ def test_chain_whose_bounds_never_meet_runs_on_the_kernel(chain_runs):
     assert chain_runs["lockstep"] and chain_runs["kernel"] == 1
     assert not any(recorded for _, recorded in chain_runs["lockstep"])
     assert np.array_equal(s.data, _sequential_glauber(model, 500, config))
+
+
+@pytest.mark.parametrize("model, n, burn_in, meets", [
+    (make_grid_model(10, 0.4, "spin_glass", seed=1), 500, 24, False),
+    (make_grid_model(4, 0.6, "spin_glass", seed=1), 5000, 200, True),
+], ids=["glass-10x10", "glass-4x4"])
+def test_frustrated_chain_that_segments_poorly_runs_on_the_kernel(
+        chain_runs, model, n, burn_in, meets):
+    # The 10x10 glass's bounds at beta = 0.4 stay apart, so the pass
+    # stops at its first chunk end. The 4x4 glass's at beta = 0.6 meet
+    # in too few of its 39 segments: a piece of the chain would span
+    # more than half of it, at about half the kernel's speed a sweep.
+    # Either way the whole chain runs on the kernel.
+    config = GlauberConfig(seed=3, burn_in_sweeps=burn_in, thinning_sweeps=2)
+    s = sample_glauber(model, n, config)
+    bounds = [lanes[1] for lanes, _ in chain_runs["lockstep"]]
+    assert not any(recorded for _, recorded in chain_runs["lockstep"])
+    assert (bounds[-1] < bounds[0]) == meets
+    assert chain_runs["kernel"] == 1
+    assert np.array_equal(s.data, _sequential_glauber(model, n, config))
+
+
+def test_ferromagnet_bounds_meet_where_its_gauge_chains_did(chain_runs):
+    # On an unfrustrated model the bounds are, site by site, the chains
+    # from g and -g for the gauge g that makes every coupling positive,
+    # so they meet where those chains do. These are the lane counts of
+    # the bounds pass on the 10x10 ferromagnet of the glauber-learn-10x10
+    # benchmark, recorded when its segments were bounded by those chains.
+    config = GlauberConfig(seed=3, burn_in_sweeps=200, thinning_sweeps=2)
+    sample_glauber(make_grid_model(10, 0.4), 5000, config)
+    runs = chain_runs["lockstep"]
+    assert [lanes[1] for lanes, recorded in runs if not recorded] == [
+        39, 39, 39, 38, 34, 34, 26, 25, 23, 18, 18, 15, 14, 12, 10, 9, 9,
+        8, 7, 6, 5, 4, 4] + [3] * 10
+    assert all(lanes[0] == 2 for lanes, recorded in runs if not recorded)
+    assert chain_runs["kernel"] == 0
 
 
 def test_segments_that_never_meet_run_in_the_piece_before(chain_runs,

@@ -229,6 +229,29 @@ def test_evaluate_rows_matches_per_sample_formula(p):
     assert saturated[0] and not saturated[1:].any()
 
 
+def test_pass_at_origin_reads_the_weights():
+    # At theta = 0 every term is its weight: each value is exactly 1 and
+    # each gradient -(C w) C^T / total, on a Glauber tally of two words
+    # a row and on rows of a stacked pattern table picked by stack.
+    s = sampler.sample_glauber(make_grid_model(9, 0.3), 2000,
+                               sampler.GlauberConfig(seed=4))
+    rows = np.arange(s.p)
+    cols = np.array([np.delete(rows, u)[u % 7::11][:6] for u in rows])
+    table = pattern_table(s.tally, rows, cols)
+    pick = np.array([40, 3, 3, 77])
+    for design, focal, stack in [(s.tally, rows, ...),
+                                 (table, np.zeros(4, dtype=np.int64), pick)]:
+        c = design.spins.astype(np.float64)
+        w = np.broadcast_to(design.weights[stack], (len(focal), c.shape[1]))
+        values, grads, saturated = evaluate_rows(
+            design, focal, np.zeros((len(focal), len(c))), stack)
+        want = -np.array([(c[f] * wf) @ c.T for f, wf in zip(focal, w)])
+        want[np.arange(len(focal)), focal] = 0.0
+        assert np.all(values == 1.0) and not saturated.any()
+        np.testing.assert_allclose(grads, want / design.total, rtol=1e-13,
+                                   atol=1e-13)
+
+
 @pytest.mark.parametrize("p", [5, 16, 70])
 def test_pattern_table_matches_the_tally(p):
     # At a theta supported on each row's columns W, the row's table of
