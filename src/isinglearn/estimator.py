@@ -87,8 +87,6 @@ def fit_all_nodes(samples: SampleSet, lam: float,
     tally; results ordered by vertex id. x0, when given, is a p x p
     coupling matrix to start from (row u for vertex u; its diagonal is
     ignored), such as coupling_matrix of an earlier fit."""
-    if samples.p < 2:
-        raise InputError("need p >= 2 for a nonempty view")
     return fit_tallies([samples.tally], lam, config, x0)[0]
 
 

@@ -314,6 +314,8 @@ def make_grid_model(side: int, beta: float, kind: str = "ferromagnet",
         raise InputError(f"coupling magnitude must be positive, got {beta}")
     if kind not in ("ferromagnet", "spin_glass"):
         raise InputError(f"unknown coupling kind {kind!r}")
+    if seed is not None:
+        _check_integer(seed, "seed", 0)
     p = side * side
     edges = set()
     for r in range(side):
@@ -328,7 +330,6 @@ def make_grid_model(side: int, beta: float, kind: str = "ferromagnet",
     else:
         if seed is None:
             raise InputError("spin_glass grids need a seed for the sign draw")
-        _check_integer(seed, "seed", 0)
         rng = np.random.default_rng(seed)
         signs = rng.integers(0, 2, size=len(ordered)) * 2 - 1
         couplings = {e: float(s) * beta for e, s in zip(ordered, signs)}

@@ -544,6 +544,7 @@ def _parse_rows(chars, ends, p: int, n: int) -> np.ndarray:
 
 def read_samples_text(path) -> SampleSet:
     with open(path, "rb") as fh:
+        _check_memory(os.fstat(fh.fileno()).st_size, "the file's bytes")
         raw = fh.read()
     if not raw.isascii():
         raise InputError("sample text is not ASCII")
@@ -571,6 +572,8 @@ def read_samples_text(path) -> SampleSet:
     if size - start < 2 * p * n - 1:
         raise InputError(f"sample text header declares {n} rows of {p} "
                          f"spins, but only {size - start} bytes follow it")
+    # A bound on the read's peak: the file, its rows and their words.
+    _check_memory(size + n * (p + 8 * -(-p // 64)), f"{n} rows of p={p}")
     chars, ends = chars[start:], ends[1:] - start
     data = _parse_rows(chars, ends, p, n)
     if ends.size >= n and not _BLANK[chars[ends[n - 1]:]].all():

@@ -82,6 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .model import _check_integer, _real
 from .sampler import Design
 from .screening import (NodeView, evaluate_rows, face_hessians, focal_row,
                         pattern_table)
@@ -105,12 +106,12 @@ class SolverConfig:
     def __post_init__(self):
         # Written so that NaN fails too; an infinite penalty would make
         # the objective inf * 0 at every zero coordinate.
-        if not 0 <= self.lam < math.inf:
-            raise InputError("lam must be finite and >= 0")
-        if not 0 < self.kkt_tolerance < math.inf:
-            raise InputError("kkt_tolerance must be finite and positive")
-        if self.max_iterations < 1:
-            raise InputError("max_iterations must be >= 1")
+        lam, tol = self.lam, self.kkt_tolerance
+        if not (_real(lam) and 0 <= lam < math.inf):
+            raise InputError(f"lam must be finite and >= 0: {lam!r}")
+        if not (_real(tol) and 0 < tol < math.inf):
+            raise InputError(f"kkt_tolerance must be finite and > 0: {tol!r}")
+        _check_integer(self.max_iterations, "max_iterations", 1)
 
 
 @dataclass
@@ -307,6 +308,8 @@ def minimize_rows(design, rows, config: SolverConfig,
         raise InputError("designs must share p and total")
     rows = np.asarray(rows, dtype=np.int64)
     (p, _), nd, each = designs[0].spins.shape, len(designs), rows.size
+    if p < 2:
+        raise InputError("need p >= 2 for a nonempty fit")
     lam, tol, cap = config.lam, config.kkt_tolerance, config.max_iterations
     x = np.zeros((each, p)) if x0 is None else np.array(x0, dtype=np.float64)
     if x.shape != (each, p):

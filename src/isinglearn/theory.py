@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import InputError
 from .estimator import _check_epsilon, lambda_schedule
-from .model import IsingModel, _check_vertex, beta_d, exact_distribution
+from .model import (IsingModel, _check_integer, _check_vertex, _real, beta_d,
+                    exact_distribution)
 from .sampler import RNG_ALGORITHM, _indexed_design
 from .screening import (NodeView, _second_moments, evaluate_rows,
                         remainder_kernel, remainder_kernel_floor,
@@ -71,12 +72,13 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
-        if self.p < 2:
-            raise InputError(f"p must be >= 2, got {self.p}")
-        if not 1 <= self.d <= self.p - 1:
+        _check_integer(self.p, "p", 2)
+        _check_integer(self.d, "d", 1)
+        if self.d > self.p - 1:
             raise InputError(f"need 1 <= d <= p-1, got d={self.d}, p={self.p}")
-        if not 0.0 < self.alpha <= self.beta:
-            raise InputError("need 0 < alpha <= beta")
+        a, b = self.alpha, self.beta
+        if not (_real(a) and _real(b) and 0.0 < a <= b < math.inf):
+            raise InputError(f"need 0 < alpha <= beta < inf, got {a!r}, {b!r}")
 
     @property
     def beta_d(self) -> float:
@@ -135,8 +137,7 @@ def coupling_error_bound(params: ModelParams, epsilon: float, n: int) -> float:
     """The guaranteed l2 coupling-error radius at sample size n (valid
     once n >= coupling_error_sample_bound)."""
     _check_epsilon(epsilon)
-    if n < 1:
-        raise InputError("n must be >= 1")
+    _check_integer(n, "n", 1)
     d = params.d
     return (2.0 ** 8 * math.sqrt(d) * (d + 1) * math.exp(3.0 * params.beta_d)
             * math.sqrt(math.log(3.0 * params.p / epsilon) / n))
@@ -166,8 +167,8 @@ def gradient_sup_bound(p: int, n: int, epsilon: float,
     n >= exp(2 beta d) ln(2p/eps); pass beta_d_value to have the
     precondition checked (a warning is emitted when it fails)."""
     _check_epsilon(epsilon)
-    if p < 2 or n < 1:
-        raise InputError("need p >= 2 and n >= 1")
+    _check_integer(p, "p", 2)
+    _check_integer(n, "n", 1)
     arg = math.log(2.0 * p / epsilon)
     if beta_d_value is not None and n < math.exp(2.0 * beta_d_value) * arg:
         warnings.warn(
@@ -191,8 +192,9 @@ def covariance_concentration_bound(p: int, delta: float, epsilon: float) -> floa
     """Samples making every empirical pair-moment deviate by less than
     delta with probability 1 - epsilon (union Hoeffding bound)."""
     _check_epsilon(epsilon)
-    if delta <= 0:
-        raise InputError("delta must be positive")
+    _check_integer(p, "p", 2)
+    if not (_real(delta) and 0 < delta < math.inf):
+        raise InputError(f"delta must be finite and > 0, got {delta!r}")
     return 2.0 / delta ** 2 * math.log(p ** 2 / epsilon)
 
 
@@ -270,8 +272,8 @@ def restricted_convexity_check(view: NodeView, model: IsingModel, u: int,
     params = params_from_model(model)
     d = params.d
     radius = 2.0 / math.sqrt(d)
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    _check_integer(trials, "trials", 1)
+    _check_integer(seed, "seed", 0)
     if u != view.u:
         raise InputError(f"the view is of vertex {view.u}, not {u}")
     k = view.others.size
@@ -314,9 +316,10 @@ def verification_report(model: IsingModel, seed: int, n: int = 10000,
     {"metadata": ..., "oracles": [entry, ...], "all_passed": bool};
     every entry carries the measured statistic, its bound, and the
     seed so runs are reproducible."""
+    _check_integer(seed, "seed", 0)
+    _check_integer(n, "n", 1)
+    _check_integer(sets, "sets", 1)
     _check_epsilon(epsilon)
-    if n < 1 or sets < 1:
-        raise InputError("need n >= 1 and sets >= 1")
     params = params_from_model(model)
     rng = np.random.default_rng(seed)
     entries = []

@@ -197,6 +197,28 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-model", "--grid", "3"],
+    ["gen-model", "--grid", "3", "--spin-glass"],
+    ["gen-model", "--random", "4"],
+    ["sample", "--n", "10"],
+    ["sample", "--n", "10", "--glauber"],
+    ["verify"],
+], ids=["grid-ferromagnet", "grid-glass", "random", "sample-exact",
+        "sample-glauber", "verify"])
+def test_negative_seed_is_refused_where_it_is_taken(tmp_path, capsys, argv):
+    # The CLI has no seed check of its own: each function that takes a
+    # seed refuses a negative one, a ferromagnet grid's unused seed too.
+    model = tmp_path / "m.json"
+    assert main(["gen-model", "--grid", "2", "--out", str(model)]) == 0
+    if argv[0] != "gen-model":
+        argv = [argv[0], "--model", str(model), *argv[1:]]
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["fit", "--node", "0", "--lambda", "nan"],
     ["learn", "--threshold", "nan"],

@@ -186,6 +186,16 @@ def test_tallies_fitted_together_match_each_fitted_alone(table_builds):
                     lam, cfg)
 
 
+def test_fits_of_one_spin_are_refused():
+    # minimize_rows, which every fit goes through, refuses p < 2; a p = 1
+    # tally used to fit to an empty estimate.
+    samples = SampleSet(1, 3, [[1], [-1], [1]])
+    with pytest.raises(InputError, match="p >= 2"):
+        fit_tallies([samples.tally], 0.1)
+    with pytest.raises(InputError, match="p >= 2"):
+        fit_all_nodes(samples, 0.1)
+
+
 @pytest.mark.parametrize("p", [9, 16, 70])
 def test_solver_counters_add_up(p):
     # The start is one evaluation, each table solve's start may be a

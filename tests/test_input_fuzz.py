@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isinglearn import (ExperimentManifest, InputError, IsingModel,
-                        SampleSet, energy_exponent, manifest_from_dict,
-                        model_from_json, read_samples_binary,
-                        read_samples_text)
+                        ModelParams, SampleSet, SolverConfig, energy_exponent,
+                        manifest_from_dict, model_from_json,
+                        read_samples_binary, read_samples_text)
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -142,3 +142,20 @@ manifest_dicts = st.builds(
 @given(obj=manifest_dicts | st.dictionaries(st.text(max_size=8), json_values))
 def test_manifest_from_dict_raises_only_input_error(obj):
     _returns_or_input_error(manifest_from_dict, obj, ExperimentManifest)
+
+
+@FUZZ
+@given(values=st.dictionaries(
+    st.sampled_from([f.name for f in fields(SolverConfig)]),
+    json_values | st.integers(-1, 9) | st.floats(0, 1), max_size=3))
+def test_solver_config_raises_only_input_error(values):
+    _returns_or_input_error(lambda v: SolverConfig(**v), values, SolverConfig)
+
+
+@FUZZ
+@given(args=st.tuples(json_values | st.integers(0, 5),
+                      json_values | st.integers(0, 5),
+                      json_values | st.floats(0, 2),
+                      json_values | st.floats(0, 2)))
+def test_model_params_raises_only_input_error(args):
+    _returns_or_input_error(lambda a: ModelParams(*a), args, ModelParams)

@@ -318,6 +318,15 @@ def test_spin_glass_signs_reproducible():
         make_grid_model(4, 0.9, "spin_glass")
 
 
+def test_ferromagnet_grid_checks_a_given_seed():
+    # A ferromagnet draws nothing, but a seed given to it is checked as
+    # the sign draw checks it; it used to be ignored.
+    assert make_grid_model(3, 0.4, seed=np.uint8(1)) == make_grid_model(3, 0.4)
+    for seed in (-1, "1", 1.5, True):
+        with pytest.raises(InputError, match="seed"):
+            make_grid_model(3, 0.4, seed=seed)
+
+
 def test_random_model_respects_ranges():
     m = make_random_model(8, 0.4, 0.3, 0.8, seed=2)
     assert m.p == 8

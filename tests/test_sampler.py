@@ -744,6 +744,31 @@ def test_binary_header_past_its_payload_allocates_nothing(tmp_path):
             tracemalloc.stop()
 
 
+def test_text_read_refuses_a_file_past_physical_memory(tmp_path,
+                                                      monkeypatch):
+    # The file alone, before it is read, then the file beside its rows
+    # and their words (size + n (p + 8 W), the read's peak bound): one
+    # byte short of either is refused with exit 3; the bound is enough.
+    path, out = tmp_path / "s.txt", tmp_path / "result.json"
+    write_samples_text(SampleSet(70, 1000, np.ones((1000, 70))), path)
+    size = path.stat().st_size
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size - 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="physical memory"):
+            read_samples_text(path)
+        assert tracemalloc.get_traced_memory()[1] < size
+    finally:
+        tracemalloc.stop()
+    for physical in (size - 1, size + 1000 * (70 + 2 * 8) - 1):
+        pages["SC_PHYS_PAGES"] = physical
+        assert main(["learn", "--samples", str(path), "--threshold", "0.5",
+                     "--out", str(out)]) == 3
+    pages["SC_PHYS_PAGES"] += 1
+    assert read_samples_text(path).words.shape == (1000, 2)
+
+
 def test_glauber_refusal_counts_the_words(monkeypatch):
     # Each row's p spins and its W words, 32 bytes a site for the chain,
     # and 4 arrays of a chunk's 2^15 uniforms.

@@ -119,6 +119,28 @@ def test_config_validation():
         SolverConfig(max_iterations=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 2.5), ("max_iterations", "5"),
+    ("max_iterations", None), ("lam", True), ("lam", "0.1"), ("lam", None),
+    ("kkt_tolerance", "1e-7"), ("kkt_tolerance", None),
+], ids=["iterations-float", "iterations-str", "iterations-none", "lam-bool",
+        "lam-str", "lam-none", "tolerance-str", "tolerance-none"])
+def test_config_refuses_non_numbers(field, value):
+    # Each of these used to be accepted or to end in a bare TypeError.
+    with pytest.raises(InputError):
+        SolverConfig(**{field: value})
+
+
+def test_config_takes_numpy_numbers_but_not_bools():
+    cfg = SolverConfig(lam=np.float64(0.1), kkt_tolerance=np.float32(1e-6),
+                       max_iterations=np.int64(50))
+    view = node_view(sample_exact(make_grid_model(2, 0.5), 200, seed=1), 0)
+    assert minimize(view, cfg).converged
+    for field in ("lam", "kkt_tolerance", "max_iterations"):
+        with pytest.raises(InputError):
+            SolverConfig(**{field: np.True_})
+
+
 def test_bad_start_shape_rejected():
     s = sample_exact(make_grid_model(2, 0.5), 200, seed=1)
     view = node_view(s, 0)

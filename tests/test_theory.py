@@ -188,6 +188,70 @@ def test_restricted_convexity_refuses_another_vertex():
         restricted_convexity_check(view, m, 4, trials=5, seed=7)
 
 
+@pytest.mark.parametrize("trials, seed", [
+    (5, -1), (5, "7"), (5, 7.0), ("5", 7), (5.5, 7), (True, 7),
+], ids=["seed-negative", "seed-str", "seed-float", "trials-str",
+        "trials-float", "trials-bool"])
+def test_restricted_convexity_refuses_bad_numbers(trials, seed):
+    # Each of these used to end in numpy's ValueError, a bare TypeError,
+    # or a one-trial check.
+    m = make_grid_model(3, 0.4)
+    view = node_view(sample_exact(m, 2000, seed=3), 0)
+    with pytest.raises(InputError):
+        restricted_convexity_check(view, m, 0, trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("bad", [
+    {"seed": -1}, {"seed": "1"}, {"seed": 1.0}, {"n": "100"}, {"n": None},
+    {"sets": None}, {"sets": True},
+], ids=["seed-negative", "seed-str", "seed-float", "n-str", "n-none",
+        "sets-none", "sets-bool"])
+def test_verification_report_refuses_bad_numbers(bad):
+    kwargs = {"seed": 1, "n": 100, "sets": 2, "rsc_trials": 2, **bad}
+    with pytest.raises(InputError):
+        verification_report(make_grid_model(2, 0.4), **kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ModelParams(2.5, 1, 0.1, 0.2),
+    lambda: ModelParams(3, True, 0.1, 0.2),
+    lambda: ModelParams(3, 1, 0.1, math.inf),
+    lambda: ModelParams("3", 1, 0.1, 0.2),
+    lambda: ModelParams(3, 1, None, 0.2),
+    lambda: coupling_error_bound(P16, 0.1, True),
+    lambda: coupling_error_bound(P16, 0.1, "100"),
+    lambda: gradient_sup_bound(9, 2.5, 0.1),
+    lambda: gradient_sup_bound("9", 100, 0.1),
+    lambda: covariance_concentration_bound(0, 0.1, 0.1),
+    lambda: covariance_concentration_bound(9.5, 0.1, 0.1),
+    lambda: covariance_concentration_bound(9, "0.1", 0.1),
+    lambda: covariance_concentration_bound(9, math.nan, 0.1),
+], ids=["params-p-float", "params-d-bool", "params-beta-inf", "params-p-str",
+        "params-alpha-none", "error-n-bool", "error-n-str",
+        "gradient-n-float", "gradient-p-str", "covariance-p-zero",
+        "covariance-p-float", "covariance-delta-str", "covariance-delta-nan"])
+def test_calculators_refuse_bad_numbers(call):
+    # Each of these used to be accepted, or to end in a bare TypeError or
+    # a math domain error.
+    with pytest.raises(InputError):
+        call()
+
+
+def test_calculators_take_numpy_numbers_but_not_bools():
+    params = ModelParams(np.int64(16), np.int32(4), np.float64(0.7),
+                         np.float64(0.7))
+    assert coupling_error_bound(params, 0.1, np.int64(1000)) == (
+        coupling_error_bound(P16, 0.1, 1000))
+    assert gradient_sup_bound(np.int64(9), np.uint16(100), 0.1) == (
+        gradient_sup_bound(9, 100, 0.1))
+    assert covariance_concentration_bound(np.int64(9), np.float32(0.5), 0.1) \
+        == pytest.approx(covariance_concentration_bound(9, 0.5, 0.1))
+    with pytest.raises(InputError):
+        ModelParams(16, np.True_, 0.7, 0.7)
+    with pytest.raises(InputError):
+        gradient_sup_bound(9, np.True_, 0.1)
+
+
 def test_verification_report_passes_and_is_deterministic():
     m = make_grid_model(2, 0.4)
     a = verification_report(m, seed=123, n=5000, sets=60, rsc_trials=60)
